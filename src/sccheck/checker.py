@@ -3,7 +3,8 @@
 Two exact, necessary-and-sufficient tests:
 
 * the pencil test — [sI - A | B] keeps full rank for every s exactly when
-  the gcd in s of its maximal minors is a unit;
+  the gcd in s of its maximal minors is a unit (the minor det(sI - A) is
+  monic of degree n in s, so the rank over F(z)(s) is always n);
 * the Kalman test — [B, AB, ..., A^(n-1)B] has full rank over F(z).
 
 And the certificate route: split the pencil's rows into blocks, find
@@ -29,7 +30,7 @@ from .linalg import (
     minors_gcd_in_s,
     rank,
 )
-from .matroid import DEFAULT_MAX_BASES, UnimodularBase, VectorMatroid
+from .matroid import DEFAULT_MAX_BASES, UnimodularBase, VectorMatroid, _first_disjoint_family
 
 __all__ = [
     "SystemDef",
@@ -164,33 +165,38 @@ class Verdict:
         return f"[{self.method}] {self.status.value} - {self.evidence}"
 
 
+def _pencil_gcd(sys: SystemDef, max_columns: int) -> Polynomial:
+    """Gcd in s of the pencil's n x n minors, stored on the instance.
+
+    The column cap is checked on every call, before the stored gcd is read.
+    """
+    cols = sys.n + sys.m
+    if cols > max_columns:
+        raise ColumnLimitError(cols, max_columns)
+    g = sys.__dict__.get("_pencil_gcd")
+    if g is None:
+        g = minors_gcd_in_s(sys.pencil(), sys.n, max_columns=max_columns)
+        object.__setattr__(sys, "_pencil_gcd", g)  # SystemDef is frozen
+    return g
+
+
 def pbh_check(sys: SystemDef, max_columns: int = DEFAULT_MAX_COLUMNS) -> Verdict:
     """Exact pencil test: full rank of [sI - A | B] for every s.
 
-    Controllable exactly when the symbolic rank is n and the gcd in s of all
-    n x n minors is a nonzero unit; a positive-s-degree gcd is returned as
-    evidence, its s-factors being the uncontrollable modes.
+    The rank over F(z)(s) is always n, because the minor det(sI - A) is monic
+    of degree n in s.  Controllable exactly when the gcd in s of all n x n
+    minors is a unit; a positive-s-degree gcd is returned as evidence, its
+    s-factors being the uncontrollable modes.
     """
-    pencil = sys.pencil()
     n = sys.n
     try:
-        g = minors_gcd_in_s(pencil, n, max_columns=max_columns)
+        g = _pencil_gcd(sys, max_columns)
     except ColumnLimitError as e:
         return Verdict(
             Status.INCONCLUSIVE, "pbh",
             f"minor enumeration skipped: {e}", gcd=None,
         )
-    r = rank(pencil)
-    if r < n:
-        return Verdict(
-            Status.NOT_CONTROLLABLE, "pbh",
-            f"pencil rank {r} < n = {n} already over F(z)(s)",
-        )
-    if g.is_zero():
-        return Verdict(
-            Status.NOT_CONTROLLABLE, "pbh",
-            f"all {n}x{n} pencil minors vanish", gcd=g,
-        )
+    # det(sI - A) is a monic minor, so g is nonzero and the rank is n.
     if g.s_degree() > 0:
         return Verdict(
             Status.NOT_CONTROLLABLE, "pbh",
@@ -256,50 +262,29 @@ def certificate_search(
         partition = RowPartition.singletons(n)
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} rows but the system has {n}")
+    # Each row block holds its own sI columns, so its rank is its size and
+    # the block ranks always sum to n.
     pencil = sys.pencil()
-    matroids = [VectorMatroid(pencil.row_block(block)) for block in partition.blocks]
-    sizes = [m.rank() for m in matroids]
-    if sum(sizes) != n:
-        return Verdict(
-            Status.INCONCLUSIVE, "matroid",
-            f"block ranks {sizes} do not sum to n = {n}",
-        )
-
     truncated = False
     per_block: list[tuple[UnimodularBase, ...]] = []
-    for m in matroids:
-        enum = m.enumerate_unimodular_bases(max_bases)
+    for block in partition.blocks:
+        enum = VectorMatroid(pencil.row_block(block)).enumerate_unimodular_bases(max_bases)
         truncated = truncated or enum.truncated
         per_block.append(enum.bases)
 
-    chosen: list[UnimodularBase] = []
-    used: set[str] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == len(per_block):
-            return True
-        for base in per_block[i]:
-            if used.isdisjoint(base.labels):
-                chosen.append(base)
-                used.update(base.labels)
-                if backtrack(i + 1):
-                    return True
-                used.difference_update(base.labels)
-                chosen.pop()
-        return False
-
-    if backtrack(0):
+    chosen = _first_disjoint_family(per_block, lambda base: base.labels)
+    if chosen is not None:
         cert = Certificate(partition, tuple(chosen))
         detail = ", ".join(f"{{{', '.join(b.labels)}}}" for b in cert.bases)
         try:
-            g = minors_gcd_in_s(pencil, n, max_columns=max_columns)
+            g = _pencil_gcd(sys, max_columns)
         except ColumnLimitError as e:
             return Verdict(
                 Status.INCONCLUSIVE, "matroid",
                 f"disjoint unimodular bases {detail} found, but the exact "
                 f"confirmation was skipped: {e}",
             )
-        if g.is_zero() or g.s_degree() > 0:
+        if g.s_degree() > 0:
             return Verdict(
                 Status.INCONCLUSIVE, "matroid",
                 f"disjoint unimodular bases {detail} found, but the pencil "

@@ -13,9 +13,10 @@ Exit status contract (shared by all subcommands):
     2  INCONCLUSIVE
     3  input error (bad file, bad expression, bad flags, shape mismatch)
 
-Output is deterministic: fixed default seed, fixed search orders, and every
-verdict names the method that produced it, so a CERTIFIED (sufficient)
-answer is never conflated with CONTROLLABLE (exact).
+Output is deterministic: fixed search orders, and every verdict names the
+method that produced it, so a CERTIFIED (sufficient) answer is never
+conflated with CONTROLLABLE (exact).  ``--seed`` is accepted and ignored:
+there is no probabilistic fast path, the exact tests decide every verdict.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .checker import (
     pbh_check,
 )
 from .expr import ParseError, render
-from .field import probabilistic_zero_test
 from .linalg import DEFAULT_MAX_COLUMNS
 from .matroid import DEFAULT_MAX_BASES
 from .systemfile import (
@@ -60,6 +60,13 @@ _STATUS_EXIT = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sccheck",
@@ -78,12 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--cert-out", metavar="PATH", default=None,
                        help="write the found certificate to this file")
     check.add_argument("--seed", type=int, default=0,
-                       help="seed for the probabilistic evaluation fast path; "
-                            "verdicts never depend on it (default: 0)")
-    check.add_argument("--max-bases", type=int, default=DEFAULT_MAX_BASES,
+                       help="accepted and ignored; the exact tests decide every "
+                            "verdict (default: 0)")
+    check.add_argument("--max-bases", type=_positive_int, default=DEFAULT_MAX_BASES,
                        help=f"cap on enumerated bases per matroid "
                             f"(default: {DEFAULT_MAX_BASES})")
-    check.add_argument("--max-columns", type=int, default=DEFAULT_MAX_COLUMNS,
+    check.add_argument("--max-columns", type=_positive_int, default=DEFAULT_MAX_COLUMNS,
                        help=f"cap on pencil columns for full minor enumeration "
                             f"(default: {DEFAULT_MAX_COLUMNS})")
 
@@ -95,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("system", help="system definition (JSON)")
     verify.add_argument("certificate", help="certificate file (JSON)")
     verify.add_argument("--seed", type=int, default=0,
-                        help="seed for the probabilistic witness screen (default: 0)")
+                        help="accepted and ignored (default: 0)")
     return parser
 
 
@@ -151,13 +158,8 @@ def cmd_check(args) -> int:
         elif method == "kalman":
             verdicts.append(kalman_check(system))
         else:
-            verdicts.append(certificate_search(system, partition, max_bases=args.max_bases))
-
-    # Belt and braces on the gcd evidence: the Schwartz-Zippel screen may
-    # prove it nonzero fast, but only the exact zero test is trusted.
-    for v in verdicts:
-        if v.gcd is not None and not probabilistic_zero_test(v.gcd, 1, args.seed):
-            assert not v.gcd.is_zero()
+            verdicts.append(certificate_search(system, partition, max_bases=args.max_bases,
+                                               max_columns=args.max_columns))
 
     status = _overall_exit(verdicts)
 
@@ -209,11 +211,6 @@ def cmd_verify(args) -> int:
         cert = load_certificate(args.certificate, system.space)
     except (SystemFileError, ParseError) as e:
         return _fail(str(e))
-
-    # Fast nonzero screen of the stored witnesses; the exact checks below
-    # decide, and any "probably zero" screen answer defers to them.
-    for base in cert.bases:
-        probabilistic_zero_test(base.witness.num, 1, args.seed)
 
     try:
         failures = certificate_failures(system, cert)

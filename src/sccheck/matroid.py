@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .field import RationalFunction
 from .linalg import SymMatrix, det, rank
@@ -159,9 +159,8 @@ def max_union_of_bases(
 ) -> list[tuple[str, ...]] | None:
     """First pairwise-disjoint family of bases with the requested sizes.
 
-    Blocks are processed in ascending index with candidate bases in
-    lexicographic order, plain backtracking; returns None when no family
-    exists among the enumerated bases.
+    Candidate bases are taken in lexicographic order; returns None when no
+    family exists among the enumerated bases.
     """
     _common_ground(matroids)
     if len(sizes_wanted) != len(matroids):
@@ -173,20 +172,29 @@ def max_union_of_bases(
         if not candidates:
             return None
         enumerations.append(candidates)
+    return _first_disjoint_family(enumerations, lambda base: base)
 
-    chosen: list[tuple[str, ...]] = []
+
+def _first_disjoint_family(candidates: Sequence[Sequence], labels: Callable) -> list | None:
+    """First choice of one candidate per block with pairwise-disjoint labels.
+
+    Plain backtracking, blocks in ascending index and each block's candidates
+    in the given order, so the family found is reproducible; None if none.
+    """
+    chosen: list = []
     used: set[str] = set()
 
     def backtrack(i: int) -> bool:
-        if i == len(enumerations):
+        if i == len(candidates):
             return True
-        for base in enumerations[i]:
-            if used.isdisjoint(base):
+        for base in candidates[i]:
+            base_labels = labels(base)
+            if used.isdisjoint(base_labels):
                 chosen.append(base)
-                used.update(base)
+                used.update(base_labels)
                 if backtrack(i + 1):
                     return True
-                used.difference_update(base)
+                used.difference_update(base_labels)
                 chosen.pop()
         return False
 

@@ -72,6 +72,16 @@ def test_pbh_column_cap_gives_inconclusive(example1):
     assert "5" in v.evidence
 
 
+def test_column_cap_decides_before_the_stored_gcd(sigma1, sigma2):
+    # A fresh SystemDef: the session-scoped example1 may already hold a gcd.
+    sys_def = compose_parallel([sigma1, sigma2])
+    assert pbh_check(sys_def).status is Status.CONTROLLABLE
+    assert pbh_check(sys_def, max_columns=5).status is Status.INCONCLUSIVE
+    v = certificate_search(sys_def, max_columns=5)
+    assert v.status is Status.INCONCLUSIVE
+    assert "confirmation was skipped" in v.evidence
+
+
 def test_kalman_on_subsystems(sigma1, sigma2):
     assert kalman_check(sigma1).status is Status.CONTROLLABLE
     assert kalman_check(sigma2).status is Status.CONTROLLABLE

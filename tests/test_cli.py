@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import sccheck.checker
 from sccheck import load_system, save_system
 from sccheck.cli import run
 
@@ -125,6 +126,37 @@ def test_usage_errors_exit_3(capsys):
     assert run(["check"]) == 3
     assert run(["frobnicate"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--max-bases", "--max-columns"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_caps_below_one_are_input_errors(pendulum_file, flag, value, capsys):
+    rc = run(["check", str(pendulum_file), "--method", "matroid", flag, value])
+    assert rc == 3
+    assert flag in capsys.readouterr().err
+
+
+def test_matroid_route_honours_max_columns(pendulum_file, capsys):
+    rc = run(["check", str(pendulum_file), "--partition", "1,2;3,4;5,6",
+              "--method", "matroid", "--max-columns", "3"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "[matroid] INCONCLUSIVE" in out
+    assert "capped at 3" in out
+
+
+def test_check_computes_the_minor_gcd_once(pendulum_file, monkeypatch, capsys):
+    calls = []
+    original = sccheck.checker.minors_gcd_in_s
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sccheck.checker, "minors_gcd_in_s", counted)
+    assert run(["check", str(pendulum_file), "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_help_exits_0(capsys):

@@ -9,11 +9,12 @@ from sccheck import (
     VectorMatroid,
     max_union_of_bases,
     parse_expr,
+    rank,
     union_rank,
 )
 from sccheck.linalg import det_cofactor
 
-from helpers import brute_force_bases, brute_force_rank, rand_matrix
+from helpers import brute_force_bases, brute_force_rank, rand_matrix, rand_system
 
 SP = ParamSpace(["z1", "z2", "z3"])
 
@@ -49,10 +50,26 @@ def test_unknown_label_raises(bench_matroids):
         m1.rank_of(["nope"])
 
 
-def test_block_ranks_match_state_counts(bench_matroids):
+def test_block_ranks_match_state_counts(
+    bench_matroids, example1, pendulum, bridge, duplicated_modes, unit_system,
+):
     m1, m2 = bench_matroids
     assert m1.rank() == 2
     assert m2.rank() == 3
+    # Every row block of [sI - A | B] holds its own sI columns, so its rank is
+    # its size and the whole pencil has rank n, controllable or not.
+    rng = random.Random(4)
+    systems = [example1, pendulum, bridge, duplicated_modes, unit_system]
+    systems += [rand_system(SP, rng) for _ in range(30)]
+    for sys_def in systems:
+        pencil = sys_def.pencil()
+        assert rank(pencil) == sys_def.n
+        rows = list(range(sys_def.n))
+        rng.shuffle(rows)
+        cut = rng.randint(1, sys_def.n)
+        for block in [[i] for i in rows] + [rows[:cut], rows[cut:]]:
+            if block:
+                assert VectorMatroid(pencil.row_block(block)).rank() == len(block)
 
 
 def test_zero_column_has_rank_zero(bench_matroids):
