@@ -31,7 +31,6 @@ from .field import (
     SpaceMismatchError,
     gcd_in_s,
     poly_gcd,
-    probabilistic_zero_test,
 )
 from .linalg import (
     ColumnLimitError,
@@ -88,7 +87,6 @@ __all__ = [
     "parse_expr",
     "pbh_check",
     "poly_gcd",
-    "probabilistic_zero_test",
     "rank",
     "render",
     "save_certificate",

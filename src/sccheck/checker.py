@@ -426,11 +426,12 @@ def certificate_failures(sys: SystemDef, cert: Certificate) -> list[str]:
             columns = block_matrix.columns_by_labels(base.labels)
         except KeyError as e:
             raise ValueError(f"block {idx}: {e}") from None
-        block_rank = rank(block_matrix)
-        if len(base.labels) != block_rank:
+        # The block holds its own sI columns, whose determinant is monic in s,
+        # so the rank of a pencil row block is its row count.
+        if len(base.labels) != len(block):
             failures.append(
                 f"block {idx}: base size {len(base.labels)} differs from "
-                f"block rank {block_rank}"
+                f"block rank {len(block)}"
             )
         if columns.rows != columns.cols:
             failures.append(

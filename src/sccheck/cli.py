@@ -11,7 +11,9 @@ Exit status contract (shared by all subcommands):
     0  CONTROLLABLE or CERTIFIED
     1  NOT_CONTROLLABLE (exact tests only; certificate search never says this)
     2  INCONCLUSIVE
-    3  input error (bad file, bad expression, bad flags, shape mismatch)
+    3  input error (bad file, bad expression, bad flags, shape mismatch,
+       unwritable output file)
+    4  internal error (an unexpected exception in sccheck itself)
 
 Output is deterministic: fixed search orders, and every verdict names the
 method that produced it, so a CERTIFIED (sufficient) answer is never
@@ -24,8 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+import traceback
 
 from .checker import (
+    Certificate,
     RowPartition,
     Status,
     Verdict,
@@ -51,13 +55,7 @@ EXIT_POSITIVE = 0
 EXIT_NOT_CONTROLLABLE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
-
-_STATUS_EXIT = {
-    Status.CONTROLLABLE: EXIT_POSITIVE,
-    Status.CERTIFIED: EXIT_POSITIVE,
-    Status.NOT_CONTROLLABLE: EXIT_NOT_CONTROLLABLE,
-    Status.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-}
+EXIT_INTERNAL_ERROR = 4
 
 
 def _positive_int(text: str) -> int:
@@ -129,12 +127,11 @@ def _verdict_to_dict(v: Verdict) -> dict:
     return doc
 
 
-def _print_certificate(v: Verdict) -> None:
-    cert = v.certificate
+def _print_certificate(cert: Certificate, indent: str = "") -> None:
     for block, base in zip(cert.partition.blocks, cert.bases):
         rows = ",".join(str(i + 1) for i in block)
         labels = ", ".join(base.labels)
-        print(f"  block rows {rows}: base {{{labels}}}, witness {render(base.witness)}")
+        print(f"{indent}block rows {rows}: base {{{labels}}}, witness {render(base.witness)}")
 
 
 def cmd_check(args) -> int:
@@ -167,7 +164,10 @@ def cmd_check(args) -> int:
     if args.cert_out:
         if cert_verdict is None:
             return _fail("no certificate found to export (matroid search did not certify)")
-        save_certificate(cert_verdict.certificate, args.cert_out, system.name)
+        try:
+            save_certificate(cert_verdict.certificate, args.cert_out, system.name)
+        except OSError as e:
+            return _fail(f"cannot write certificate: {e}")
 
     if args.json:
         report = {
@@ -183,7 +183,7 @@ def cmd_check(args) -> int:
         for v in verdicts:
             print(str(v))
             if v.certificate is not None:
-                _print_certificate(v)
+                _print_certificate(v.certificate, "  ")
         if args.cert_out and cert_verdict is not None:
             print(f"certificate written to {args.cert_out}")
         print(f"exit status: {status}")
@@ -199,7 +199,10 @@ def cmd_compose(args) -> int:
         composite = compose_parallel(subs)
     except ValueError as e:
         return _fail(str(e))
-    save_system(composite, args.output)
+    try:
+        save_system(composite, args.output)
+    except OSError as e:
+        return _fail(f"cannot write composite: {e}")
     print(f"wrote composite {composite.name!r} (n={composite.n}, m={composite.m}) "
           f"to {args.output}")
     return EXIT_POSITIVE
@@ -208,7 +211,7 @@ def cmd_compose(args) -> int:
 def cmd_verify(args) -> int:
     try:
         system = load_system(args.system)
-        cert = load_certificate(args.certificate, system.space)
+        cert = load_certificate(args.certificate, system.space, system.name)
     except (SystemFileError, ParseError) as e:
         return _fail(str(e))
 
@@ -217,10 +220,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         return _fail(str(e))
 
-    for block, base in zip(cert.partition.blocks, cert.bases):
-        rows = ",".join(str(i + 1) for i in block)
-        labels = ", ".join(base.labels)
-        print(f"block rows {rows}: base {{{labels}}}, witness {render(base.witness)}")
+    _print_certificate(cert)
     if not failures:
         print(f"certificate verified against {system.name!r}: "
               f"all witnesses are nonzero, s-free and disjoint")
@@ -238,11 +238,15 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; fold the latter
         # into the documented input-error status.
         return EXIT_POSITIVE if e.code == 0 else EXIT_INPUT_ERROR
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "compose":
-        return cmd_compose(args)
-    return cmd_verify(args)
+    commands = {"check": cmd_check, "compose": cmd_compose, "verify": cmd_verify}
+    try:
+        return commands[args.command](args)
+    except Exception:
+        # A fault in sccheck itself must not read as a verdict.
+        traceback.print_exc()
+        print("error: internal error; please report it with the traceback above",
+              file=_sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -17,7 +17,6 @@ reduced.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -32,19 +31,12 @@ __all__ = [
     "poly_lcm",
     "poly_divexact",
     "gcd_in_s",
-    "probabilistic_zero_test",
     "REDUCTION_THRESHOLD",
-    "RANDOM_EVAL_RANGE",
 ]
 
 # Full gcd reduction of a rational function is only attempted once numerator
 # or denominator exceed this many terms; smaller values stay as produced.
 REDUCTION_THRESHOLD = 64
-
-# The probabilistic zero test draws integer coordinates uniformly from
-# [-RANDOM_EVAL_RANGE, RANDOM_EVAL_RANGE], making the per-trial failure
-# probability of a degree-d polynomial at most d / (2 * RANDOM_EVAL_RANGE + 1).
-RANDOM_EVAL_RANGE = 2**16
 
 
 class SpaceMismatchError(ValueError):
@@ -182,11 +174,6 @@ class Polynomial:
 
     def involves_s(self) -> bool:
         return self.s_degree() > 0
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
@@ -527,25 +514,6 @@ def _normalize_in_s(g: Polynomial) -> Polynomial:
     if lc.is_constant():
         return g * (1 / lc.constant_value())
     return _normalized(g)
-
-
-def probabilistic_zero_test(p: Polynomial, trials: int, seed: int) -> bool:
-    """Schwartz-Zippel style zero test.
-
-    Evaluates at `trials` random integer points drawn uniformly from
-    [-RANDOM_EVAL_RANGE, RANDOM_EVAL_RANGE].  A False answer is a proof of
-    nonzeroness; a True answer only says "probably zero" and callers must
-    confirm it with the exact is_zero before relying on it.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    names = p.space.variables
-    for _ in range(trials):
-        point = {name: rng.randint(-RANDOM_EVAL_RANGE, RANDOM_EVAL_RANGE) for name in names}
-        if p.evaluate(point) != 0:
-            return False
-    return True
 
 
 # -- rational functions --------------------------------------------------------

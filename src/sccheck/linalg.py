@@ -117,9 +117,6 @@ class SymMatrix:
 
     # -- access ----------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> RationalFunction:
-        return self.entries[i][j]
-
     def label_index(self, label: str) -> int:
         try:
             return self.col_labels.index(label)

@@ -100,25 +100,30 @@ class VectorMatroid:
     def enumerate_unimodular_bases(self, cap: int = DEFAULT_MAX_BASES) -> BaseEnumeration:
         """Bases with an s-free nonzero determinant witness, in stable order.
 
-        Requires the matrix to have exactly rank-many rows so that every base
-        selects a square submatrix with a determinant to witness.
+        Candidates are the row-count-sized column subsets, so every base
+        selects a square submatrix with a determinant to witness.  The matrix
+        needs full row rank, which holds exactly when some candidate's
+        determinant is nonzero.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
-        r = self.rank()
-        if self.matrix.rows != r:
-            raise ValueError(
-                f"matrix has {self.matrix.rows} rows but rank {r}; "
-                "unimodular witnesses need rank-many rows"
-            )
         found: list[UnimodularBase] = []
-        for combo in itertools.combinations(self.ground, r):
+        full_row_rank = False
+        for combo in itertools.combinations(self.ground, self.matrix.rows):
             witness = det(self.matrix.columns_by_labels(combo))
-            if witness.is_zero() or witness.involves_s():
+            if witness.is_zero():
+                continue
+            full_row_rank = True
+            if witness.involves_s():
                 continue
             if len(found) == cap:
                 return BaseEnumeration(tuple(found), True)
             found.append(UnimodularBase(combo, witness))
+        if not full_row_rank:
+            raise ValueError(
+                f"matrix has {self.matrix.rows} rows but rank {self.rank()}; "
+                "unimodular witnesses need rank-many rows"
+            )
         return BaseEnumeration(tuple(found), False)
 
 

@@ -12,7 +12,8 @@ A system file is a single JSON document::
 
 Matrix entries are strings in the expression grammar of sccheck.expr.  A
 certificate file lists the row blocks (1-based) with each base's column
-labels and its determinant witness, rendered in the same grammar::
+labels and its determinant witness, rendered in the same grammar; the
+optional ``"system"`` name, when present, must match the system checked::
 
     {
       "system": "pendulum",
@@ -153,9 +154,15 @@ def save_certificate(cert: Certificate, path: str | Path, system_name: str = "")
         fh.write("\n")
 
 
-def load_certificate(path: str | Path, space: ParamSpace) -> Certificate:
+def load_certificate(path: str | Path, space: ParamSpace,
+                     system_name: str | None = None) -> Certificate:
+    """Read a certificate; with ``system_name``, one naming another system is rejected."""
     where = str(path)
     doc = _load_json(path, where)
+    if system_name is not None and doc.get("system", system_name) != system_name:
+        raise SystemFileError(
+            f"{where}: certificate is for system {doc['system']!r}, not {system_name!r}"
+        )
     blocks_doc = _require(doc, "blocks", list, where)
     if not blocks_doc:
         raise SystemFileError(f"{where}: certificate has no blocks")
@@ -165,7 +172,7 @@ def load_certificate(path: str | Path, space: ParamSpace) -> Certificate:
         if not isinstance(blk, dict):
             raise SystemFileError(f"{where}: block {i} must be an object")
         rows = _require(blk, "rows", list, f"{where}: block {i}")
-        if not all(isinstance(r, int) and r >= 1 for r in rows):
+        if not all(isinstance(r, int) and not isinstance(r, bool) and r >= 1 for r in rows):
             raise SystemFileError(f"{where}: block {i}: rows must be 1-based integers")
         base = _require(blk, "base", list, f"{where}: block {i}")
         if not all(isinstance(l, str) for l in base):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import sccheck.checker
+import sccheck.matroid
 from sccheck import (
     Certificate,
     ParamSpace,
@@ -301,6 +303,25 @@ def test_verify_rejects_shape_mismatch(example1):
     ))
     with pytest.raises(ValueError):
         certificate_failures(example1, cert)
+
+
+def test_certificate_route_computes_no_rank(pendulum, example1, bridge, monkeypatch):
+    # Every pencil row block holds its own sI columns, so its rank is its size;
+    # the search and the verifier take it from the partition, not from Bareiss.
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return rank(M)
+
+    monkeypatch.setattr(sccheck.checker, "rank", counted)
+    monkeypatch.setattr(sccheck.matroid, "rank", counted)
+    for sys_def, spec in ((pendulum, "1,2;3,4;5,6"), (example1, "1,2;3,4,5"), (bridge, None)):
+        partition = None if spec is None else RowPartition.from_spec(spec, sys_def.n)
+        v = certificate_search(sys_def, partition)
+        assert v.status is Status.CERTIFIED
+        assert certificate_failures(sys_def, v.certificate) == []
+    assert calls == []
 
 
 # -- verdict invariance properties ------------------------------------------------------

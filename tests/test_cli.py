@@ -3,6 +3,7 @@ import json
 import pytest
 
 import sccheck.checker
+import sccheck.cli
 from sccheck import load_system, save_system
 from sccheck.cli import run
 
@@ -235,6 +236,52 @@ def test_verify_rejects_printed_bench_certificate(sigma_files, tmp_path, capsys)
     assert "not free of" in out or "unimodular" in out
 
 
+def test_verify_pins_base_size_mismatch_lines(sigma_files, tmp_path, capsys):
+    p1, _ = sigma_files
+    cert_path = tmp_path / "short.json"
+    cert_path.write_text(json.dumps({
+        "system": "sigma1",
+        "blocks": [{"rows": [1, 2], "base": ["a3"], "witness": "1"}],
+    }))
+    rc = run(["verify", str(p1), str(cert_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "block rows 1,2: base {a3}, witness 1",
+        "FAILED: base sizes sum to 1, expected n = 2",
+        "FAILED: block 1: base size 1 differs from block rank 2",
+        "FAILED: block 1: base of size 1 does not select a square submatrix of the 2-row block",
+    ]
+
+
+def test_verify_checks_the_certificate_system_name(pendulum_file, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert run(["check", str(pendulum_file), "--method", "matroid",
+                "--partition", "1,2;3,4;5,6", "--cert-out", str(cert_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cert_path.read_text())
+    assert doc["system"] == "pendulum"
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**doc, "system": "other"}))
+    assert run(["verify", str(pendulum_file), str(other)]) == 3
+    assert "'other'" in capsys.readouterr().err
+    unnamed = tmp_path / "unnamed.json"
+    unnamed.write_text(json.dumps({"blocks": doc["blocks"]}))
+    assert run(["verify", str(pendulum_file), str(unnamed)]) == 0
+    assert "certificate verified" in capsys.readouterr().out
+
+
+def test_verify_rejects_boolean_rows(tmp_path, capsys):
+    system = tmp_path / "one.json"
+    system.write_text(json.dumps({"name": "one", "parameters": ["z1"],
+                                  "A": [["z1"]], "B": [["1"]]}))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({
+        "blocks": [{"rows": [True], "base": ["a2"], "witness": "1"}],
+    }))
+    assert run(["verify", str(system), str(cert_path)]) == 3
+    assert "1-based integers" in capsys.readouterr().err
+
+
 def test_verify_rejects_overlapping_labels(pendulum_file, tmp_path, capsys):
     cert_path = tmp_path / "overlap.json"
     cert_path.write_text(json.dumps({
@@ -284,3 +331,34 @@ def test_exported_system_files_reload_exactly(tmp_path, pendulum, capsys):
     assert reloaded.A == pendulum.A
     assert reloaded.B == pendulum.B
     assert reloaded.space == pendulum.space
+
+
+def test_unwritable_cert_out_is_an_input_error(pendulum_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "c.json"
+    rc = run(["check", str(pendulum_file), "--method", "matroid",
+              "--partition", "1,2;3,4;5,6", "--cert-out", str(target)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: cannot write certificate")
+    assert "Traceback" not in err
+
+
+def test_unwritable_compose_output_is_an_input_error(sigma_files, tmp_path, capsys):
+    p1, p2 = sigma_files
+    rc = run(["compose", str(p1), str(p2), "-o", str(tmp_path / "missing" / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: cannot write composite")
+    assert "Traceback" not in err
+
+
+def test_internal_error_has_its_own_status(pendulum_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(sccheck.cli, "kalman_check", broken)
+    rc = run(["check", str(pendulum_file), "--method", "kalman"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "broken on purpose" in err
+    assert "internal error" in err

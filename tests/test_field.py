@@ -11,7 +11,6 @@ from sccheck import (
     gcd_in_s,
     parse_expr,
     poly_gcd,
-    probabilistic_zero_test,
 )
 from sccheck.field import poly_divexact
 
@@ -151,26 +150,6 @@ def test_evaluate_is_a_ring_homomorphism():
         point = rand_point(SP, rng)
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-
-
-def test_probabilistic_zero_test_on_zero_polynomial():
-    rng = random.Random(0xC0FFEE)
-    for seed in (0, 1, 12345, *(rng.randrange(2**31) for _ in range(50))):
-        assert probabilistic_zero_test(SP.zero(), 3, seed)
-
-
-def test_probabilistic_zero_test_detects_nonzero():
-    assert not probabilistic_zero_test(S - Z1, 3, seed=2024)
-    rng = random.Random(5150)
-    for _ in range(25):
-        p = rand_poly(SP, rng, nonzero=True)
-        q = rand_poly(SP, rng, nonzero=True)
-        assert not probabilistic_zero_test(p * q, 3, seed=2024)
-
-
-def test_probabilistic_zero_test_requires_trials():
-    with pytest.raises(ValueError):
-        probabilistic_zero_test(SP.zero(), 0, 0)
 
 
 def test_gcd_in_s_units_and_shared_factors():

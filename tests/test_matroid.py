@@ -139,9 +139,11 @@ def test_unimodular_witnesses_recompute_by_cofactor(bench_matroids):
 
 
 def test_unimodular_enumeration_requires_rank_many_rows():
-    M = SymMatrix.parse(SP, [["1", "0"], ["1", "0"]])  # rank 1, two rows
-    with pytest.raises(ValueError):
-        VectorMatroid(M).enumerate_unimodular_bases()
+    rank_deficient = SymMatrix.parse(SP, [["1", "0"], ["1", "0"]])  # rank 1, two rows
+    tall = SymMatrix.parse(SP, [["1"], ["z1"]])  # more rows than columns
+    for M in (rank_deficient, tall):
+        with pytest.raises(ValueError, match="matrix has 2 rows but rank 1"):
+            VectorMatroid(M).enumerate_unimodular_bases()
 
 
 def test_union_rank_of_single_matroid_is_rank():
