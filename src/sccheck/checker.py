@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .field import ParamSpace, Polynomial, SpaceMismatchError
 from .linalg import (
@@ -80,7 +81,17 @@ class SystemDef:
         return self.B.cols
 
     def pencil(self) -> SymMatrix:
+        """[sI - A | B], built on the first call; callers only read it."""
+        return self._pencil
+
+    @cached_property  # stored in the instance __dict__, past the frozen __setattr__
+    def _pencil(self) -> SymMatrix:
         return build_pencil(self.A, self.B)
+
+    @cached_property
+    def _minor_gcd(self) -> Polynomial:
+        # Read only through _pencil_gcd, which checks the column cap first.
+        return minors_gcd_in_s(self.pencil(), self.n, max_columns=self.n + self.m)
 
 
 @dataclass(frozen=True)
@@ -166,18 +177,14 @@ class Verdict:
 
 
 def _pencil_gcd(sys: SystemDef, max_columns: int) -> Polynomial:
-    """Gcd in s of the pencil's n x n minors, stored on the instance.
+    """Gcd in s of the pencil's n x n minors, computed once per SystemDef.
 
     The column cap is checked on every call, before the stored gcd is read.
     """
     cols = sys.n + sys.m
     if cols > max_columns:
         raise ColumnLimitError(cols, max_columns)
-    g = sys.__dict__.get("_pencil_gcd")
-    if g is None:
-        g = minors_gcd_in_s(sys.pencil(), sys.n, max_columns=max_columns)
-        object.__setattr__(sys, "_pencil_gcd", g)  # SystemDef is frozen
-    return g
+    return sys._minor_gcd
 
 
 def pbh_check(sys: SystemDef, max_columns: int = DEFAULT_MAX_COLUMNS) -> Verdict:
@@ -209,16 +216,14 @@ def pbh_check(sys: SystemDef, max_columns: int = DEFAULT_MAX_COLUMNS) -> Verdict
 
 
 def controllability_matrix(sys: SystemDef) -> SymMatrix:
-    """[B, AB, ..., A^(n-1)B] over F(z), columns labelled c1..c_{n*m}."""
-    blocks = []
-    current = sys.B
-    for _ in range(sys.n):
-        blocks.append(current)
-        current = sys.A @ current
-    out = blocks[0]
-    for blk in blocks[1:]:
-        out = out.hstack(blk)
-    return SymMatrix(sys.space, out.entries, [f"c{j + 1}" for j in range(out.cols)])
+    """[B, AB, ..., A^(n-1)B] over F(z) in n - 1 products, columns c1..c_{n*m}."""
+    block = sys.B
+    rows = [list(row) for row in block.entries]
+    for _ in range(sys.n - 1):
+        block = sys.A @ block
+        for row, tail in zip(rows, block.entries):
+            row.extend(tail)
+    return SymMatrix(sys.space, rows, [f"c{j + 1}" for j in range(sys.n * sys.m)])
 
 
 def kalman_check(sys: SystemDef) -> Verdict:
@@ -386,11 +391,13 @@ def composite_certificate_check(
 
 
 def certificate_failures(sys: SystemDef, cert: Certificate) -> list[str]:
-    """Every clause of the certificate that fails independent recomputation.
+    """Every block-local clause of the certificate that fails recomputation.
 
     Witnesses are recomputed by cofactor expansion (not by the elimination
     path that produced them), so this doubles as a third-party checker for
-    exported certificates.
+    exported certificates.  The clauses are block-local and the exact
+    confirmation is not repeated, so an empty list does not prove the system
+    controllable: the swap system in certificate_search's docstring passes.
     """
     n = sys.n
     if cert.partition.n != n:

@@ -8,7 +8,7 @@
 
 Exit status contract (shared by all subcommands):
 
-    0  CONTROLLABLE or CERTIFIED
+    0  CONTROLLABLE or CERTIFIED (verify: every block-local clause holds)
     1  NOT_CONTROLLABLE (exact tests only; certificate search never says this)
     2  INCONCLUSIVE
     3  input error (bad file, bad expression, bad flags, shape mismatch,
@@ -209,6 +209,11 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Re-check a certificate's block-local clauses; see certificate_failures.
+
+    Exit 0 says every clause holds, not that the system is controllable:
+    the exact confirmation that check runs before CERTIFIED is not repeated.
+    """
     try:
         system = load_system(args.system)
         cert = load_certificate(args.certificate, system.space, system.name)

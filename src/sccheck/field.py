@@ -47,10 +47,6 @@ class PoleError(ArithmeticError):
     """Raised when a rational function is evaluated at a denominator root."""
 
 
-def _is_identifier(name: str) -> bool:
-    return name.isidentifier()
-
-
 @dataclass(frozen=True)
 class ParamSpace:
     """Ordered parameter names plus the distinguished pencil indeterminate.
@@ -70,7 +66,7 @@ class ParamSpace:
         if s_name in params:
             raise ValueError(f"pencil indeterminate {s_name!r} clashes with a parameter")
         for name in (*params, s_name):
-            if not _is_identifier(name):
+            if not name.isidentifier():
                 raise ValueError(f"invalid variable name {name!r}")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "s_name", s_name)

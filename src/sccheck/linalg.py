@@ -144,15 +144,6 @@ class SymMatrix:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
-    def hstack(self, other: SymMatrix, col_labels: Sequence[str] | None = None) -> SymMatrix:
-        if other.rows != self.rows:
-            raise ValueError(f"row mismatch: {self.rows} vs {other.rows}")
-        return SymMatrix(
-            self.space,
-            [self.entries[i] + other.entries[i] for i in range(self.rows)],
-            col_labels,
-        )
-
     def __matmul__(self, other: SymMatrix) -> SymMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")

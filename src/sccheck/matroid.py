@@ -2,9 +2,8 @@
 
 A vector matroid is the independence structure of a labelled symbolic
 matrix's columns; the rank oracle is exact symbolic column rank, memoized per
-label subset (reads of the memo are safe to share across threads, Python
-dict updates being atomic).  Enumeration orders are lexicographic in the
-column positions so that every search result is reproducible.
+label subset.  Enumeration orders are lexicographic in the column positions
+so that every search result is reproducible.
 """
 
 from __future__ import annotations

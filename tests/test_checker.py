@@ -99,6 +99,55 @@ def test_kalman_on_bridge_symbolic_vs_balanced(bridge):
     assert rank(K.evaluate(unbalanced)) == 2
 
 
+def test_controllability_matrix_equals_direct_products(example1, bridge):
+    # Example 1 has m = 2 inputs; the bridge has rational-function entries.
+    for sys_def in (example1, bridge):
+        n, m = sys_def.n, sys_def.m
+        powers = [sys_def.B]
+        for _ in range(n - 1):
+            powers.append(sys_def.A @ powers[-1])
+        K = controllability_matrix(sys_def)
+        assert (K.rows, K.cols) == (n, n * m)
+        assert K.col_labels == tuple(f"c{j + 1}" for j in range(n * m))
+        for i in range(n):
+            for j in range(n * m):
+                assert K.entries[i][j] == powers[j // m].entries[i][j % m]
+
+
+def test_controllability_matrix_takes_n_minus_1_products(example1, bridge, unit_system,
+                                                         monkeypatch):
+    calls = []
+    original = SymMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(SymMatrix, "__matmul__", counted)
+    for sys_def in (example1, bridge, unit_system):
+        calls.clear()
+        controllability_matrix(sys_def)
+        assert len(calls) == sys_def.n - 1
+
+
+def test_each_system_builds_its_pencil_once(sigma1, sigma2, monkeypatch):
+    calls = []
+    original = sccheck.checker.build_pencil
+
+    def counted(A, B):
+        calls.append(A)
+        return original(A, B)
+
+    monkeypatch.setattr(sccheck.checker, "build_pencil", counted)
+    # A fresh SystemDef: the session-scoped example1 may already hold a pencil.
+    sys_def = compose_parallel([sigma1, sigma2])
+    assert pbh_check(sys_def).status is Status.CONTROLLABLE
+    v = certificate_search(sys_def, RowPartition.from_spec("1,2;3,4,5", 5))
+    assert v.status is Status.CERTIFIED
+    assert certificate_failures(sys_def, v.certificate) == []
+    assert len(calls) == 1
+
+
 def test_exact_tests_agree_on_fixtures(example1, duplicated_modes, unit_system):
     for sys_def in (example1, duplicated_modes, unit_system):
         assert pbh_check(sys_def).status == kalman_check(sys_def).status
