@@ -31,6 +31,7 @@ __all__ = [
     "poly_lcm",
     "poly_divexact",
     "gcd_in_s",
+    "divides_in_s",
     "REDUCTION_THRESHOLD",
 ]
 
@@ -351,6 +352,8 @@ def poly_divexact(p: Polynomial, d: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
+    if d.is_constant():
+        return p * (1 / d.constant_value())
     space = p.space
     quot: dict[tuple[int, ...], Fraction] = {}
     rem = p
@@ -382,7 +385,7 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
         shift[var] = dr - dg
         r = lc_g * r - lc_r * Polynomial(space, {tuple(shift): Fraction(1)}) * g
         e -= 1
-    if e > 0:
+    if e > 0 and not r.is_zero():
         r = (lc_g ** e) * r
     return r
 
@@ -491,6 +494,21 @@ def gcd_in_s(p: Polynomial, q: Polynomial) -> Polynomial:
         pp, qq = qq, pp
     last = _subresultant_last(pp, qq, s_idx)
     return _normalize_in_s(_s_primitive(last, s_idx))
+
+
+def divides_in_s(g: Polynomial, p: Polynomial) -> bool:
+    """True iff the nonzero g divides p in F(z)[s].
+
+    The test is one pseudo-division in s: the remainder over F(z)[s] vanishes
+    exactly when the pseudo-remainder does, since they differ by a power of
+    g's leading s-coefficient.
+    """
+    if p.is_zero():
+        return True
+    s_idx = g.space.s_index
+    if p.degree_in(s_idx) < g.degree_in(s_idx):
+        return False
+    return _pseudo_rem(p, g, s_idx).is_zero()
 
 
 def _s_primitive(p: Polynomial, s_idx: int) -> Polynomial:

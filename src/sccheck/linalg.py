@@ -7,6 +7,12 @@ scaling multiplies every minor by a known nonzero s-free factor, so ranks
 are untouched and determinants are recovered exactly by dividing the scale
 back out.
 
+The minor gcd in s needs no determinant exactly, only up to such factors, so
+``minors_gcd_in_s`` clears the rows once, to integer coefficients, and takes
+every minor of the cleared matrix: no minor divides a scale back out.  A
+minor that the running gcd already divides in F(z)[s] cannot change it, and
+one pseudo-division finds that without a gcd.
+
 Pivoting is deterministic: elimination walks columns left to right and picks
 the nonzero candidate in the lowest row, so determinant signs and every
 downstream certificate are reproducible.
@@ -15,6 +21,7 @@ downstream certificate are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -24,6 +31,7 @@ from .field import (
     Polynomial,
     RationalFunction,
     SpaceMismatchError,
+    divides_in_s,
     gcd_in_s,
     poly_divexact,
     poly_lcm,
@@ -231,8 +239,12 @@ def _cleared_rows(M: SymMatrix) -> tuple[list[list[Polynomial]], list[Polynomial
     for row in M.entries:
         scale = M.space.one()
         for v in row:
-            scale = poly_lcm(scale, v.den)
-        out_rows.append([v.num * poly_divexact(scale, v.den) for v in row])
+            if not v.den.is_one():
+                scale = poly_lcm(scale, v.den)
+        # The scale is normalized, so a constant denominator other than 1
+        # still leaves a factor 1/den on its numerator.
+        out_rows.append([v.num if v.den == scale else v.num * poly_divexact(scale, v.den)
+                         for v in row])
         scales.append(scale)
     return out_rows, scales
 
@@ -295,7 +307,8 @@ def det(M: SymMatrix) -> RationalFunction:
         return RationalFunction.from_const(M.space, 0)
     value = RationalFunction(pivots[-1] * sign)
     for s in scales:
-        value = value / RationalFunction(s)
+        if not s.is_one():
+            value = value / RationalFunction(s)
     return value
 
 
@@ -325,10 +338,13 @@ def _cofactor(entries, rows: list[int], cols: list[int], space: ParamSpace) -> R
 
 
 def minors_gcd_in_s(M: SymMatrix, k: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> Polynomial:
-    """Gcd in F(z)[s] over all k x k minors of M.
+    """Gcd in F(z)[s] over all k x k minors of M, whose denominators are s-free.
 
-    Minors are taken up to s-free unit factors (each minor's numerator after
-    row clearing), which is exactly what the pencil test needs.  Returns the
+    M's rows are cleared once, each times an s-free factor that leaves
+    integer polynomial entries, and every minor is the determinant of a
+    submatrix of that cleared matrix: each equals M's minor up to an s-free
+    unit, which is exactly what the pencil test needs.  A minor that the
+    running gcd divides in F(z)[s] is passed over without a gcd.  Returns the
     zero polynomial iff every minor vanishes; folding stops early once the
     running gcd is a unit.
     """
@@ -336,11 +352,20 @@ def minors_gcd_in_s(M: SymMatrix, k: int, max_columns: int = DEFAULT_MAX_COLUMNS
         raise ValueError(f"no {k}x{k} minors in a {M.rows}x{M.cols} matrix")
     if M.cols > max_columns:
         raise ColumnLimitError(M.cols, max_columns)
+    # Integer coefficients keep each entry's denominator at 1, so every det
+    # below takes the entries as they are and divides no scale back out.
+    integer_rows = []
+    for row in _cleared_rows(M)[0]:
+        coeff_den = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+        integer_rows.append([p * coeff_den for p in row])
+    cleared = SymMatrix(M.space, integer_rows, M.col_labels)
     running = M.space.zero()
     for row_sel in itertools.combinations(range(M.rows), k):
         for col_sel in itertools.combinations(range(M.cols), k):
-            minor = det(M.submatrix(row_sel, col_sel))
-            running = gcd_in_s(running, minor.num)
+            minor = det(cleared.submatrix(row_sel, col_sel)).num
+            if not running.is_zero() and divides_in_s(running, minor):
+                continue
+            running = gcd_in_s(running, minor)
             if running.is_one():
                 return running
     return running

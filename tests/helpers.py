@@ -155,6 +155,12 @@ def pseudo_rem_in_s(f: Polynomial, g: Polynomial) -> Polynomial:
     return r
 
 
+def to_sympy(sympy, value):
+    """A Polynomial or RationalFunction as a sympy expression, through its
+    text; the caller passes the sympy module, which stays optional."""
+    return sympy.sympify(str(value).replace("^", "**"))
+
+
 def brute_force_rank(M: SymMatrix, labels) -> int:
     """Rank of the selected columns by exhaustive minor enumeration."""
     sub = M.columns_by_labels(labels)

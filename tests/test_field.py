@@ -12,10 +12,10 @@ from sccheck import (
     parse_expr,
     poly_gcd,
 )
-from sccheck.field import poly_divexact
+from sccheck.field import divides_in_s, poly_divexact
 
 from conftest import K12, K13, K22, K23
-from helpers import pseudo_rem_in_s, rand_point, rand_poly
+from helpers import pseudo_rem_in_s, rand_point, rand_poly, to_sympy
 
 SP = ParamSpace(["z1", "z2", "z3"])
 Z1, Z2, Z3, S = SP.var("z1"), SP.var("z2"), SP.var("z3"), SP.s()
@@ -206,3 +206,49 @@ def test_s_degree_conventions():
     assert SP.zero().s_degree() == -1
     assert Z1.s_degree() == 0
     assert (S ** 3 * Z2 + S).s_degree() == 3
+
+
+def test_poly_divexact_by_a_constant_multiplies_by_its_inverse():
+    rng = random.Random(2718)
+    for c in (1, 2, -3, Fraction(1, 2), Fraction(-5, 3)):
+        for _ in range(10):
+            p = rand_poly(SP, rng)
+            inverse = p * (1 / Fraction(c))
+            q = poly_divexact(p, SP.const(c))
+            assert q == inverse
+            assert str(q) == str(inverse)
+            assert q * c == p
+
+
+def test_poly_divexact_errors():
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact(Z1 + SP.one(), SP.zero())
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact(SP.zero(), SP.zero())
+    with pytest.raises(ValueError):
+        poly_divexact(Z1 + SP.one(), Z2)
+    with pytest.raises(ValueError):
+        poly_divexact(S ** 2 + Z1, S + Z1)
+
+
+def test_divides_in_s_agrees_with_the_pseudo_remainder():
+    rng = random.Random(1618)
+    for _ in range(40):
+        g = rand_poly(SP, rng, nonzero=True)
+        p = rand_poly(SP, rng)
+        assert divides_in_s(g, p) == pseudo_rem_in_s(p, g).is_zero()
+        assert divides_in_s(g, p * g * Z3)
+        if g.s_degree() > 0:
+            assert not divides_in_s(g, g + Z1 * S ** (g.s_degree() - 1) + SP.one())
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5772)
+    for _ in range(20):
+        common = rand_poly(SP, rng, max_terms=2, nonzero=True)
+        p = rand_poly(SP, rng, nonzero=True) * common
+        q = rand_poly(SP, rng, nonzero=True) * common
+        theirs = sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q))
+        ratio = sympy.cancel(to_sympy(sympy, poly_gcd(p, q)) / theirs)
+        assert ratio.is_Rational and ratio != 0

@@ -1,14 +1,19 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import sccheck.linalg
 from sccheck import (
     ColumnLimitError,
     ParamSpace,
+    RationalFunction,
     SymMatrix,
+    SystemDef,
     build_pencil,
+    compose_parallel,
     det,
     det_cofactor,
     minors_gcd_in_s,
@@ -16,6 +21,7 @@ from sccheck import (
     rank,
 )
 from sccheck.field import gcd_in_s
+from sccheck.linalg import _cleared_rows
 
 from conftest import K12, K13, K17, K22, K23, K27
 from helpers import (
@@ -24,6 +30,9 @@ from helpers import (
     pseudo_rem_in_s,
     rand_matrix,
     rand_point,
+    rand_poly,
+    rand_system,
+    to_sympy,
     univariate_in_s,
 )
 
@@ -249,3 +258,78 @@ def test_s_gcd_of_minor_numerators_ignores_s_free_scaling(bench_pencil):
     scaled = SymMatrix(SP, scaled_rows, bench_pencil.col_labels)
     g2 = minors_gcd_in_s(scaled, 5)
     assert gcd_in_s(g1, g2) == g1 == g2
+
+
+def test_cleared_rows_scale_every_entry_by_its_row_scale():
+    # Constant denominators normalize out of the row scale, so an entry is
+    # taken as its bare numerator only when its denominator is the scale.
+    M = SymMatrix.parse(SP, [
+        ["1/2", "z1/3", "s - 1/4"],
+        ["1/(z1+1)", "1/2", "z1/3"],
+        ["s - 1/4", "z2", "1/(z1+1)"],
+        ["z1/(z1+1)", "1/(2*z1+2)", "s"],
+    ])
+    rows, scales = _cleared_rows(M)
+    for entries, cleared, scale in zip(M.entries, rows, scales):
+        for v, p in zip(entries, cleared):
+            assert p * v.den == v.num * scale
+
+
+def test_minor_gcd_makes_one_det_call_per_minor_visited(
+        monkeypatch, duplicated_modes, sigma1, example1):
+    # The benchmark's tracer counts minors as det calls under minors_gcd_in_s.
+    # An uncontrollable system visits every minor; Example 1 stops at its 16th.
+    calls = []
+    original = sccheck.linalg.det
+    monkeypatch.setattr(sccheck.linalg, "det", lambda sub: calls.append(sub) or original(sub))
+
+    def det_calls(sys_def):
+        calls.clear()
+        minors_gcd_in_s(sys_def.pencil(), sys_def.n)
+        return len(calls)
+
+    for sys_def in (duplicated_modes, compose_parallel([sigma1, sigma1])):
+        assert det_calls(sys_def) == math.comb(sys_def.n + sys_def.m, sys_def.n)
+    assert det_calls(example1) == 16
+
+
+def _reference_minor_gcd(M, k):
+    """Plain fold of gcd_in_s over every k x k minor, by the Leibniz formula."""
+    g = M.space.zero()
+    for rows in itertools.combinations(range(M.rows), k):
+        for cols in itertools.combinations(range(M.cols), k):
+            g = gcd_in_s(g, det_permutation(M.submatrix(rows, cols)).num)
+    return g
+
+
+def test_minor_gcd_equals_plain_fold_over_every_minor(sigma1, unit_system):
+    rng = random.Random(6060)
+    systems = [rand_system(SP, rng, max_n=3) for _ in range(60)]
+    # rows with constant and parameter denominators exercise the clearing
+    rational = SystemDef(
+        "rational", SP,
+        SymMatrix.parse(SP, [["z1/(z2+1)", "1/2"], ["0", "z3/3"]]),
+        SymMatrix.parse(SP, [["1"], ["1/(z1+1)"]]),
+    )
+    systems += [compose_parallel([sigma1, sigma1]), compose_parallel([unit_system] * 3),
+                compose_parallel([rational, rational])]
+    for sys_def in systems:
+        pencil = sys_def.pencil()
+        assert minors_gcd_in_s(pencil, sys_def.n) == _reference_minor_gcd(pencil, sys_def.n)
+
+
+def test_det_matches_sympy_on_rational_function_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3131)
+    denominators = [parse_expr(d, SP)
+                    for d in ("1", "2", "z1", "z1 + 1", "z2*z3", "3*z2 - 1", "s - z3")]
+    for _ in range(12):
+        M = SymMatrix(SP, [
+            [RationalFunction(rand_poly(SP, rng, max_terms=3)) / rng.choice(denominators)
+             for _ in range(3)]
+            for _ in range(3)
+        ])
+        expected = sympy.Matrix(
+            [[to_sympy(sympy, v) for v in row] for row in M.entries]
+        ).det(method="berkowitz")
+        assert sympy.cancel(to_sympy(sympy, det(M)) - expected) == 0
