@@ -5,7 +5,11 @@ Two exact, necessary-and-sufficient tests:
 * the pencil test — [sI - A | B] keeps full rank for every s exactly when
   the gcd in s of its maximal minors is a unit (the minor det(sI - A) is
   monic of degree n in s, so the rank over F(z)(s) is always n);
-* the Kalman test — [B, AB, ..., A^(n-1)B] has full rank over F(z).
+* the Kalman test — [B, AB, ..., A^(n-1)B] has full rank over F(z).  It
+  first takes the rank over Q at one fixed, pole-free integer point: rank n
+  there proves rank n over F(z), because specialising can only lower a rank.
+  Any other outcome at the point decides nothing and runs the exact
+  symbolic rank, which alone can say NOT_CONTROLLABLE.
 
 And the certificate route: split the pencil's rows into blocks, find
 pairwise-disjoint bases of the per-block column matroids whose determinant
@@ -19,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
-from .field import ParamSpace, Polynomial, SpaceMismatchError
+from .field import ParamSpace, PoleError, Polynomial, SpaceMismatchError
 from .linalg import (
     DEFAULT_MAX_COLUMNS,
     ColumnLimitError,
@@ -226,10 +231,80 @@ def controllability_matrix(sys: SystemDef) -> SymMatrix:
     return SymMatrix(sys.space, rows, [f"c{j + 1}" for j in range(sys.n * sys.m)])
 
 
+# Wide, distinct integers for the Kalman test's evaluation points: one row
+# per point, one coordinate per parameter.  Small or structured values sit on
+# easy relations (2 + 3 = 5 is z1 + z2 = z3); a miss is only slower, never
+# wrong.  Parameters past a row's width reuse it shifted by a wide stride.
+_POINTS = (
+    (7919, -6553, 4421, -3083, 8861, -2347, 5417, -9109),
+    (-7541, 6089, -4729, 3331, -8429, 2671, -5849, 9343),
+    (7211, -5903, 4003, -2857, 8147, -2111, 6263, -9781),
+    (-6883, 5653, -4271, 3557, -8699, 2909, -5381, 9629),
+)
+_POINT_STRIDE = 10007
+
+
+def _point(row: tuple[int, ...], params: tuple[str, ...]) -> dict[str, int]:
+    w = len(row)
+    return {name: row[i % w] + _POINT_STRIDE * (i // w) for i, name in enumerate(params)}
+
+
+def _rank_over_q(rows: list[list[Fraction]]) -> int:
+    """Rank by Gaussian elimination over Q; the rows are overwritten."""
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / top[c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def _kalman_rank_at_point(sys: SystemDef) -> int | None:
+    """Rank over Q of [B0, A0 B0, ..., A0^(n-1) B0] at the first pole-free
+    point of _POINTS, or None when every point is a pole of some entry.
+
+    It never exceeds the rank over F(z): specialising can only lower a rank.
+    """
+    for row in _POINTS:
+        point = _point(row, sys.space.params)
+        try:
+            a = [[e.evaluate(point) for e in r] for r in sys.A.entries]
+            block = [[e.evaluate(point) for e in r] for r in sys.B.entries]
+        except PoleError:
+            continue
+        krylov = [list(r) for r in block]
+        for _ in range(sys.n - 1):
+            block = [[sum(x * block[k][j] for k, x in enumerate(a_row) if x)
+                      for j in range(sys.m)] for a_row in a]
+            for k_row, tail in zip(krylov, block):
+                k_row.extend(tail)
+        return _rank_over_q(krylov)
+    return None
+
+
 def kalman_check(sys: SystemDef) -> Verdict:
-    """Exact Kalman test: full rank of the controllability matrix over F(z)."""
-    K = controllability_matrix(sys)
-    r = rank(K)
+    """Exact Kalman test: full rank of the controllability matrix over F(z).
+
+    The rank is first taken over Q at the first pole-free point of the fixed
+    table _POINTS.  Rank n there is a proof of rank n over F(z) (Schwartz
+    1980; Zippel 1979), so CONTROLLABLE is returned at once.  A lower rank at
+    the point, or a table of poles only, decides nothing: the symbolic
+    controllability matrix and its exact rank then give the verdict, and
+    NOT_CONTROLLABLE only ever comes from that exact rank.
+    """
+    if _kalman_rank_at_point(sys) == sys.n:
+        r = sys.n
+    else:
+        r = rank(controllability_matrix(sys))
     if r == sys.n:
         return Verdict(
             Status.CONTROLLABLE, "kalman",

@@ -18,7 +18,9 @@ Exit status contract (shared by all subcommands):
 Output is deterministic: fixed search orders, and every verdict names the
 method that produced it, so a CERTIFIED (sufficient) answer is never
 conflated with CONTROLLABLE (exact).  ``--seed`` is accepted and ignored:
-there is no probabilistic fast path, the exact tests decide every verdict.
+nothing is drawn at random.  The Kalman test's evaluation point is fixed, a
+full rank there is a proof, and a point that proves nothing never decides: the
+exact symbolic rank does.
 """
 
 from __future__ import annotations

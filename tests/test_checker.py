@@ -148,6 +148,115 @@ def test_each_system_builds_its_pencil_once(sigma1, sigma2, monkeypatch):
     assert len(calls) == 1
 
 
+def _counting_rank(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return rank(M)
+
+    monkeypatch.setattr(sccheck.checker, "rank", counted)
+    return calls
+
+
+def _swap_system():
+    return SystemDef(
+        "swap", SP,
+        SymMatrix.parse(SP, [["0", "1"], ["1", "0"]]),
+        SymMatrix.parse(SP, [["0"], ["0"]]),
+    )
+
+
+def test_point_rank_never_exceeds_the_exact_rank(duplicated_modes, sigma1):
+    rng = random.Random(6180)
+    uncontrollable = [duplicated_modes, _swap_system(), compose_parallel([sigma1, sigma1])]
+    for sys_def in uncontrollable + [rand_system(SP, rng) for _ in range(60)]:
+        at_point = sccheck.checker._kalman_rank_at_point(sys_def)
+        exact = rank(controllability_matrix(sys_def))
+        assert at_point is not None and at_point <= exact, sys_def
+
+
+def test_kalman_point_proof_makes_no_rank_call(example1, bridge, sigma1, sigma2,
+                                               duplicated_modes, monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    for sys_def in (example1, bridge, sigma1, sigma2):
+        v = kalman_check(sys_def)
+        assert v.status is Status.CONTROLLABLE
+        assert v.evidence == f"controllability matrix has full rank {sys_def.n}"
+    assert calls == []
+    v = kalman_check(duplicated_modes)
+    assert v.status is Status.NOT_CONTROLLABLE
+    assert v.evidence == "controllability matrix rank 1 < n = 2"
+    assert len(calls) == 1
+
+
+def _scalar_system(b_entry: str) -> SystemDef:
+    return SystemDef("scalar", SP, SymMatrix.parse(SP, [["z2"]]),
+                     SymMatrix.parse(SP, [[b_entry]]))
+
+
+def test_kalman_rank_deficient_point_falls_back_to_the_exact_rank(monkeypatch):
+    # B vanishes at the first point, so the rank there is 0.  Only the first
+    # pole-free point is tried: the exact rank decides.
+    c = sccheck.checker._POINTS[0][0]
+    calls = _counting_rank(monkeypatch)
+    v = kalman_check(_scalar_system(f"z1 - {c}"))
+    assert v.status is Status.CONTROLLABLE
+    assert v.evidence == "controllability matrix has full rank 1"
+    assert len(calls) == 1
+
+
+def test_kalman_pole_moves_to_the_next_point(monkeypatch):
+    c = sccheck.checker._POINTS[0][0]
+    calls = _counting_rank(monkeypatch)
+    v = kalman_check(_scalar_system(f"1/(z1 - {c})"))
+    assert v.status is Status.CONTROLLABLE
+    assert calls == []
+
+
+def test_kalman_all_poles_falls_back_to_the_exact_rank(monkeypatch):
+    den = "*".join(f"(z1 - {row[0]})" for row in sccheck.checker._POINTS)
+    calls = _counting_rank(monkeypatch)
+    v = kalman_check(_scalar_system(f"1/({den})"))
+    assert v.status is Status.CONTROLLABLE
+    assert len(calls) == 1
+
+
+def test_point_table_extends_to_more_parameters(monkeypatch):
+    # More parameters than a table row holds: every coordinate stays distinct,
+    # and a controllable chain that uses all of them is proved at the point.
+    space = ParamSpace([f"p{i}" for i in range(20)])
+    for row in sccheck.checker._POINTS:
+        point = sccheck.checker._point(row, space.params)
+        assert list(point) == list(space.params)
+        assert len(set(point.values())) == len(point)
+    n = 10
+    A = [["0"] * n for _ in range(n)]
+    for i in range(n - 1):
+        A[i + 1][i] = f"p{2 * i} - p{2 * i + 1}"
+    B = [[f"p{2 * n - 2} + p{2 * n - 1}"]] + [["0"]] * (n - 1)
+    sys_def = SystemDef("chain", space, SymMatrix.parse(space, A), SymMatrix.parse(space, B))
+    calls = _counting_rank(monkeypatch)
+    assert kalman_check(sys_def).status is Status.CONTROLLABLE
+    assert calls == []
+
+
+def test_exact_kalman_route_agrees_with_default_and_pbh(example1, bridge, sigma1, sigma2,
+                                                        duplicated_modes, monkeypatch):
+    # The same 40 samples as test_soundness_and_agreement_on_random_sample.
+    rng = random.Random(1945)
+    systems = [example1, bridge, sigma1, sigma2, duplicated_modes]
+    systems += [rand_system(SP, rng) for _ in range(40)]
+    default = [kalman_check(sys_def) for sys_def in systems]
+    monkeypatch.setattr(sccheck.checker, "_kalman_rank_at_point", lambda sys_def: None)
+    calls = _counting_rank(monkeypatch)
+    for sys_def, fast in zip(systems, default):
+        exact = kalman_check(sys_def)
+        assert (exact.status, exact.evidence) == (fast.status, fast.evidence)
+        assert exact.status == pbh_check(sys_def).status
+    assert len(calls) == len(systems)
+
+
 def test_exact_tests_agree_on_fixtures(example1, duplicated_modes, unit_system):
     for sys_def in (example1, duplicated_modes, unit_system):
         assert pbh_check(sys_def).status == kalman_check(sys_def).status

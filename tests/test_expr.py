@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sccheck import ParamSpace, RationalFunction, parse_expr, render
+from sccheck import ParamSpace, Polynomial, RationalFunction, parse_expr, render
 from sccheck.expr import ExprSource, ParseError, UnknownIdentifierError, ZeroDivisorError
 
 from conftest import K12
@@ -111,3 +111,31 @@ def test_render_round_trip_on_awkward_values():
     ]
     for value in cases:
         assert parse_expr(render(value), SP) == value
+
+
+def test_str_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    space = ParamSpace(["z1", "z2", "z3"])
+    monomials = st.tuples(*[st.integers(0, 3)] * space.nvars)
+    coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+    def polynomials(min_size=0):
+        return st.dictionaries(monomials, coefficients, min_size=min_size, max_size=5).map(
+            lambda terms: Polynomial(space, terms))
+
+    nonzero = polynomials(min_size=1).filter(lambda p: not p.is_zero())
+    values = st.one_of(
+        polynomials(),
+        st.builds(RationalFunction, polynomials(), nonzero),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(values)
+    def round_trip(x):
+        text = str(x)
+        parsed = parse_expr(text, space)
+        assert parsed == (x if isinstance(x, RationalFunction) else RationalFunction(x))
+        assert str(parsed) == text
+
+    round_trip()

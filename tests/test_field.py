@@ -252,3 +252,22 @@ def test_poly_gcd_matches_sympy():
         theirs = sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q))
         ratio = sympy.cancel(to_sympy(sympy, poly_gcd(p, q)) / theirs)
         assert ratio.is_Rational and ratio != 0
+
+
+def test_gcd_in_s_matches_sympy_up_to_an_s_free_factor():
+    # gcd_in_s works in F(z)[s], where s-free factors are units; sympy.gcd
+    # works in Q[z, s].  The two agree up to a nonzero s-free factor.
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol(SP.s_name)
+    rng = random.Random(1618)
+    shared = 0
+    for _ in range(20):
+        common = rand_poly(SP, rng, max_terms=3, nonzero=True)
+        p = rand_poly(SP, rng, nonzero=True) * common
+        q = rand_poly(SP, rng, nonzero=True) * common
+        ours = gcd_in_s(p, q)
+        theirs = sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q))
+        ratio = sympy.cancel(to_sympy(sympy, ours) / theirs)
+        assert ratio != 0 and not ratio.has(s), (p, q)
+        shared += ours.s_degree() > 0
+    assert shared >= 5

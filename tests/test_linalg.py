@@ -333,3 +333,32 @@ def test_det_matches_sympy_on_rational_function_matrices():
             [[to_sympy(sympy, v) for v in row] for row in M.entries]
         ).det(method="berkowitz")
         assert sympy.cancel(to_sympy(sympy, det(M)) - expected) == 0
+
+
+def test_rank_matches_sympy_on_rational_function_matrices():
+    # Every odd draw gains a row that combines two others with
+    # rational-function multipliers, so its rank stays below its row count.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1729)
+    denominators = [parse_expr(d, SP)
+                    for d in ("1", "2", "z1", "z1 + 1", "z2*z3", "3*z2 - 1", "s - z3")]
+
+    def entry():
+        return RationalFunction(rand_poly(SP, rng, max_terms=2)) / rng.choice(denominators)
+
+    deficient = 0
+    for k in range(12):
+        n_rows = rng.randint(1, 2)
+        n_cols = rng.randint(n_rows + 1, 4)
+        rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+        if k % 2:
+            f, g = (RationalFunction(rand_poly(SP, rng, max_terms=2, nonzero=True))
+                    / rng.choice(denominators) for _ in range(2))
+            rows.insert(1, [f * a + g * b for a, b in zip(rows[0], rows[-1])])
+        M = SymMatrix(SP, rows)
+        expected = sympy.Matrix(
+            [[to_sympy(sympy, v) for v in row] for row in M.entries]
+        ).rank(iszerofunc=lambda e: sympy.cancel(e) == 0)
+        assert rank(M) == expected, M.entries
+        deficient += expected < M.rows
+    assert deficient >= 6
