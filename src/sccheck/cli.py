@@ -12,7 +12,8 @@ Exit status contract (shared by all subcommands):
     1  NOT_CONTROLLABLE (exact tests only; certificate search never says this)
     2  INCONCLUSIVE
     3  input error (bad file, bad expression, bad flags, shape mismatch,
-       unwritable output file)
+       unwritable output file); check --cert-out with no certificate to
+       write still prints its report, and exits 1 on a NOT_CONTROLLABLE
     4  internal error (an unexpected exception in sccheck itself)
 
 Output is deterministic: fixed search orders, and every verdict names the
@@ -162,14 +163,20 @@ def cmd_check(args) -> int:
 
     status = _overall_exit(verdicts)
 
-    cert_verdict = next((v for v in verdicts if v.certificate is not None), None)
+    # A certificate that cannot be exported is an input error, but it never
+    # hides the report or a NOT_CONTROLLABLE verdict.
+    cert_error = None
     if args.cert_out:
+        cert_verdict = next((v for v in verdicts if v.certificate is not None), None)
         if cert_verdict is None:
-            return _fail("no certificate found to export (matroid search did not certify)")
-        try:
-            save_certificate(cert_verdict.certificate, args.cert_out, system.name)
-        except OSError as e:
-            return _fail(f"cannot write certificate: {e}")
+            cert_error = "no certificate found to export (matroid search did not certify)"
+        else:
+            try:
+                save_certificate(cert_verdict.certificate, args.cert_out, system.name)
+            except OSError as e:
+                cert_error = f"cannot write certificate: {e}"
+        if cert_error is not None and status != EXIT_NOT_CONTROLLABLE:
+            status = EXIT_INPUT_ERROR
 
     if args.json:
         report = {
@@ -186,9 +193,11 @@ def cmd_check(args) -> int:
             print(str(v))
             if v.certificate is not None:
                 _print_certificate(v.certificate, "  ")
-        if args.cert_out and cert_verdict is not None:
+        if args.cert_out and cert_error is None:
             print(f"certificate written to {args.cert_out}")
         print(f"exit status: {status}")
+    if cert_error is not None:
+        _fail(cert_error)
     return status
 
 

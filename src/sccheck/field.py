@@ -128,7 +128,7 @@ class Polynomial:
     fresh canonical value, so the zero test is just "no terms".
     """
 
-    __slots__ = ("space", "terms", "_hash")
+    __slots__ = ("space", "terms")
 
     def __init__(self, space: ParamSpace, terms: Mapping[tuple[int, ...], Fraction]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -138,7 +138,6 @@ class Polynomial:
                 clean[mono] = coeff
         self.space = space
         self.terms = clean
-        self._hash: int | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -261,11 +260,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.space == other.space and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.space, frozenset(self.terms.items())))
-        return self._hash
 
     # -- structure helpers ---------------------------------------------------
 
@@ -391,14 +385,13 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
 
 
 def _subresultant_last(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
-    """Last nonzero member of the subresultant PRS of f, g in one variable.
+    """Last nonzero member of the subresultant PRS of f, g in one variable,
+    where deg f >= deg g in `var`.
 
     Knuth's Algorithm C: pseudo-remainders divided by g*h**delta keep the
     coefficients as small as a fraction-free scheme allows.
     """
     u, v = f, g
-    if u.degree_in(var) < v.degree_in(var):
-        u, v = v, u
     space = u.space
     gg = space.one()
     h = space.one()
@@ -409,11 +402,9 @@ def _subresultant_last(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
             return v
         u, v = v, poly_divexact(r, gg * h ** delta)
         gg = u.leading_coeff_in(var)
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
+        if delta == 1:
             h = gg
-        else:
+        elif delta > 1:
             h = poly_divexact(gg ** delta, h ** (delta - 1))
 
 
@@ -512,15 +503,11 @@ def divides_in_s(g: Polynomial, p: Polynomial) -> bool:
 
 
 def _s_primitive(p: Polynomial, s_idx: int) -> Polynomial:
-    if p.is_zero():
-        return p
     _, prim = _content_and_primitive(p, s_idx)
     return prim
 
 
 def _normalize_in_s(g: Polynomial) -> Polynomial:
-    if g.is_zero():
-        return g
     s_idx = g.space.s_index
     if g.degree_in(s_idx) == 0:
         return g.space.one()

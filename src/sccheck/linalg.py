@@ -4,8 +4,8 @@ Elimination is fraction-free: the matrix is first scaled row by row to a
 polynomial matrix (each row times the lcm of its entry denominators), then
 Bareiss one-step elimination runs with exact polynomial divisions.  Row
 scaling multiplies every minor by a known nonzero s-free factor, so ranks
-are untouched and determinants are recovered exactly by dividing the scale
-back out.
+are untouched, and a determinant is the cleared matrix's determinant over
+the product of the row scales, built as one rational function.
 
 The minor gcd in s needs no determinant exactly, only up to such factors, so
 ``minors_gcd_in_s`` clears the rows once, to integer coefficients, and takes
@@ -65,13 +65,15 @@ class ColumnLimitError(RuntimeError):
 
 
 def _as_rf(space: ParamSpace, v) -> RationalFunction:
-    if isinstance(v, RationalFunction):
-        return v
-    if isinstance(v, Polynomial):
-        return RationalFunction(v)
-    if isinstance(v, (int, Fraction)):
-        return RationalFunction.from_const(space, v)
-    raise TypeError(f"cannot use {v!r} as a matrix entry")
+    if not isinstance(v, RationalFunction):
+        if isinstance(v, (int, Fraction)):
+            return RationalFunction.from_const(space, v)
+        if not isinstance(v, Polynomial):
+            raise TypeError(f"cannot use {v!r} as a matrix entry")
+        v = RationalFunction(v)
+    if v.space != space:
+        raise SpaceMismatchError("entry from a different parameter space")
+    return v
 
 
 class SymMatrix:
@@ -87,10 +89,6 @@ class SymMatrix:
                 raise ValueError("ragged rows")
         else:
             width = 0
-        for row in rows:
-            for v in row:
-                if v.space != space:
-                    raise SpaceMismatchError("entry from a different parameter space")
         if col_labels is None:
             col_labels = tuple(f"a{j + 1}" for j in range(width))
         else:
@@ -191,15 +189,6 @@ class SymMatrix:
             )
         )
 
-    def __str__(self) -> str:
-        cells = [[str(v) for v in row] for row in self.entries]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) if self.rows else 0
-                  for j in range(self.cols)]
-        lines = ["  ".join(f"{self.col_labels[j]:>{widths[j]}}" for j in range(self.cols))]
-        for row in cells:
-            lines.append("  ".join(f"{c:>{w}}" for c, w in zip(row, widths)))
-        return "\n".join(lines)
-
 
 def build_pencil(A: SymMatrix, B: SymMatrix) -> SymMatrix:
     """[sI - A | B] with columns labelled a1..a_{n+m}, state columns first."""
@@ -257,9 +246,9 @@ def _bareiss(rows: list[list[Polynomial]], ncols: int):
     of the cleared matrix up to the row-swap sign.
     """
     nrows = len(rows)
-    space = rows[0][0].space if nrows else None
+    space = rows[0][0].space
     sign = 1
-    prev = space.one() if space else None
+    prev = space.one()
     pivots: list[Polynomial] = []
     r = 0
     for c in range(ncols):
@@ -296,7 +285,11 @@ def rank(M: SymMatrix) -> int:
 
 
 def det(M: SymMatrix) -> RationalFunction:
-    """Exact determinant via fraction-free elimination."""
+    """Exact determinant via fraction-free elimination.
+
+    The value is the cleared matrix's determinant over the product of the row
+    scales, normalised once as a single RationalFunction.
+    """
     if M.rows != M.cols:
         raise ValueError(f"determinant of a non-square {M.rows}x{M.cols} matrix")
     if M.rows == 0:
@@ -305,11 +298,8 @@ def det(M: SymMatrix) -> RationalFunction:
     r, sign, pivots = _bareiss(rows, M.cols)
     if r < M.rows:
         return RationalFunction.from_const(M.space, 0)
-    value = RationalFunction(pivots[-1] * sign)
-    for s in scales:
-        if not s.is_one():
-            value = value / RationalFunction(s)
-    return value
+    den = math.prod((s for s in scales if not s.is_one()), start=M.space.one())
+    return RationalFunction(pivots[-1] * sign, den)
 
 
 def det_cofactor(M: SymMatrix) -> RationalFunction:

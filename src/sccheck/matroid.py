@@ -77,7 +77,7 @@ class VectorMatroid:
         return r
 
     def is_independent(self, labels: Iterable[str]) -> bool:
-        labels = self._check_labels(labels)
+        labels = tuple(labels)  # rank_of checks them
         return self.rank_of(labels) == len(labels)
 
     def rank(self) -> int:

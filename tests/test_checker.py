@@ -382,6 +382,11 @@ def test_compose_rejects_space_mismatch(sigma1):
         compose_parallel([sigma1, other])
 
 
+def test_composite_certificate_check_needs_a_subsystem():
+    with pytest.raises(ValueError, match="^need at least one subsystem$"):
+        composite_certificate_check([])
+
+
 def test_composite_certificate_check_on_example1(sigma1, sigma2):
     v = composite_certificate_check([sigma1, sigma2])
     assert v.status is Status.CERTIFIED

@@ -248,7 +248,6 @@ def test_verify_pins_base_size_mismatch_lines(sigma_files, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "block rows 1,2: base {a3}, witness 1",
         "FAILED: base sizes sum to 1, expected n = 2",
-        "FAILED: block 1: base size 1 differs from block rank 2",
         "FAILED: block 1: base of size 1 does not select a square submatrix of the 2-row block",
     ]
 
@@ -310,10 +309,42 @@ def test_verify_shape_mismatch_exits_3(pendulum_file, tmp_path, capsys):
 
 
 def test_cert_out_without_certificate_is_an_input_error(duplicated_file, tmp_path, capsys):
+    # pbh says NOT_CONTROLLABLE, and a failed export does not hide it.
     rc = run(["check", str(duplicated_file), "--method", "pbh",
               "--cert-out", str(tmp_path / "cert.json")])
-    assert rc == 3
+    assert rc == 1
     assert "no certificate" in capsys.readouterr().err
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_cert_out_without_certificate_keeps_the_report(tmp_path, capsys):
+    system = tmp_path / "swap.json"
+    system.write_text(json.dumps({"name": "swap", "parameters": [],
+                                  "A": [["0", "1"], ["1", "0"]], "B": [["0"], ["0"]]}))
+    cert_path = tmp_path / "cert.json"
+    rc = run(["check", str(system), "--cert-out", str(cert_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert [line.split(" ", 2)[:2] for line in captured.out.splitlines()[1:4]] == [
+        ["[pbh]", "NOT_CONTROLLABLE"],
+        ["[kalman]", "NOT_CONTROLLABLE"],
+        ["[matroid]", "INCONCLUSIVE"],
+    ]
+    assert captured.out.splitlines()[-1] == "exit status: 1"
+    assert captured.err.startswith("error: no certificate found to export")
+    assert not cert_path.exists()
+
+
+def test_cert_out_without_certificate_exits_3_on_positive_verdicts(sigma_files, tmp_path,
+                                                                   capsys):
+    rc = run(["check", str(sigma_files[0]), "--method", "kalman", "--json",
+              "--cert-out", str(tmp_path / "cert.json")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    report = json.loads(captured.out)
+    assert [r["status"] for r in report["results"]] == ["CONTROLLABLE"]
+    assert report["status"] == 3
+    assert "no certificate" in captured.err
 
 
 def test_verify_rejects_malformed_certificate_file(pendulum_file, tmp_path, capsys):

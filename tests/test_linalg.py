@@ -132,6 +132,23 @@ def test_det_of_stiffness_block_is_s_free(pendulum, ex2_space):
     assert not value.involves_s()
 
 
+@pytest.mark.parametrize("rows, text", [
+    ([["1/(z1 + 1)", "z2/(z2 - z3)"], ["z3/(2*z1)", "1/(z1 + 1)"]],
+     "(-z1^2*z2*z3 - 2*z1*z2*z3 + 2*z1*z2 - 2*z1*z3 - z2*z3)"
+     "/(2*z1^3*z2 - 2*z1^3*z3 + 4*z1^2*z2 - 4*z1^2*z3 + 2*z1*z2 - 2*z1*z3)"),
+    ([["s/(z1 + 1)", "1/(z2 - z3)"], ["z2/(2*z1)", "(s - z3)/(z1 + 1)"]],
+     "(-2*z1*z2*z3*s + 2*z1*z2*s^2 + 2*z1*z3^2*s - 2*z1*z3*s^2 - z1^2*z2 - 2*z1*z2 - z2)"
+     "/(2*z1^3*z2 - 2*z1^3*z3 + 4*z1^2*z2 - 4*z1^2*z3 + 2*z1*z2 - 2*z1*z3)"),
+    ([["1/(z1 + 1)", "0", "z2"], ["0", "z3/(z2 - z3)", "1"], ["1/(2*z1)", "1", "0"]],
+     "(-z1*z2*z3 - 2*z1*z2 + 2*z1*z3 - z2*z3)/(2*z1^2*z2 - 2*z1^2*z3 + 2*z1*z2 - 2*z1*z3)"),
+], ids=["2x2", "2x2-in-s", "3x3"])
+def test_det_printed_form_over_several_row_denominators(rows, text):
+    # The printed form, not just the value: certificates print det's text.
+    M = SymMatrix.parse(SP, rows)
+    assert str(det(M)) == text
+    assert det(M) == det_cofactor(M)
+
+
 def test_det_requires_square():
     with pytest.raises(ValueError):
         det(SymMatrix.parse(SP, [["1", "0"]]))
