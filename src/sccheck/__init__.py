@@ -9,6 +9,7 @@ no genericity assumptions smuggled in numerically.
 
 from .checker import (
     Certificate,
+    ColumnLimitError,
     RowPartition,
     Status,
     SystemDef,
@@ -33,7 +34,6 @@ from .field import (
     poly_gcd,
 )
 from .linalg import (
-    ColumnLimitError,
     SymMatrix,
     build_pencil,
     det,

@@ -27,18 +27,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .field import ParamSpace, PoleError, Polynomial, SpaceMismatchError
-from .linalg import (
-    DEFAULT_MAX_COLUMNS,
-    ColumnLimitError,
-    SymMatrix,
-    build_pencil,
-    det_cofactor,
-    minors_gcd_in_s,
-    rank,
-)
+from .linalg import SymMatrix, build_pencil, det_cofactor, minors_gcd_in_s, rank
 from .matroid import DEFAULT_MAX_BASES, UnimodularBase, VectorMatroid, _first_disjoint_family
 
 __all__ = [
+    "ColumnLimitError",
+    "DEFAULT_MAX_COLUMNS",
     "SystemDef",
     "RowPartition",
     "Certificate",
@@ -53,6 +47,21 @@ __all__ = [
     "certificate_failures",
     "controllability_matrix",
 ]
+
+# Full minor enumeration is exponential; above this many pencil columns the
+# checker refuses to guess and reports the limit instead.
+DEFAULT_MAX_COLUMNS = 12
+
+
+class ColumnLimitError(RuntimeError):
+    """Raised when full minor enumeration would exceed the column cap."""
+
+    def __init__(self, cols: int, limit: int):
+        self.cols = cols
+        self.limit = limit
+        super().__init__(
+            f"matrix has {cols} columns; full minor enumeration is capped at {limit}"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,7 @@ class SystemDef:
     @cached_property
     def _minor_gcd(self) -> Polynomial:
         # Read only through _pencil_gcd, which checks the column cap first.
-        return minors_gcd_in_s(self.pencil(), self.n, max_columns=self.n + self.m)
+        return minors_gcd_in_s(self.pencil(), self.n)
 
 
 @dataclass(frozen=True)
@@ -468,9 +477,9 @@ def certificate_failures(sys: SystemDef, cert: Certificate) -> list[str]:
 
     Witnesses are recomputed by cofactor expansion (not by the elimination
     path that produced them), so this doubles as a third-party checker for
-    exported certificates.  The clauses are block-local and the exact
-    confirmation is not repeated, so an empty list does not prove the system
-    controllable: the swap system in certificate_search's docstring passes.
+    exported certificates.  The clauses are block-local, so an empty list
+    does not prove the system controllable (the swap system in
+    certificate_search's docstring passes); cli's verify adds that proof.
     """
     n = sys.n
     if cert.partition.n != n:

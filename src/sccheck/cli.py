@@ -8,9 +8,10 @@
 
 Exit status contract (shared by all subcommands):
 
-    0  CONTROLLABLE or CERTIFIED (verify: every block-local clause holds)
+    0  CONTROLLABLE or CERTIFIED (verify: every block-local clause holds
+       and the system is proved controllable)
     1  NOT_CONTROLLABLE (exact tests only; certificate search never says this)
-    2  INCONCLUSIVE
+    2  INCONCLUSIVE (verify: the clauses hold, but the pencil is too wide)
     3  input error (bad file, bad expression, bad flags, shape mismatch,
        unwritable output file); check --cert-out with no certificate to
        write still prints its report, and exits 1 on a NOT_CONTROLLABLE
@@ -32,18 +33,21 @@ import sys as _sys
 import traceback
 
 from .checker import (
+    DEFAULT_MAX_COLUMNS,
     Certificate,
+    ColumnLimitError,
     RowPartition,
     Status,
     Verdict,
+    _kalman_rank_at_point,
+    _pencil_gcd,
     certificate_failures,
     certificate_search,
     compose_parallel,
     kalman_check,
     pbh_check,
 )
-from .expr import ParseError, render
-from .linalg import DEFAULT_MAX_COLUMNS
+from .expr import ParseError
 from .matroid import DEFAULT_MAX_BASES
 from .systemfile import (
     SystemFileError,
@@ -131,10 +135,10 @@ def _verdict_to_dict(v: Verdict) -> dict:
 
 
 def _print_certificate(cert: Certificate, indent: str = "") -> None:
-    for block, base in zip(cert.partition.blocks, cert.bases):
-        rows = ",".join(str(i + 1) for i in block)
-        labels = ", ".join(base.labels)
-        print(f"{indent}block rows {rows}: base {{{labels}}}, witness {render(base.witness)}")
+    for block in certificate_to_dict(cert)["blocks"]:
+        rows = ",".join(map(str, block["rows"]))
+        print(f"{indent}block rows {rows}: base {{{', '.join(block['base'])}}}, "
+              f"witness {block['witness']}")
 
 
 def cmd_check(args) -> int:
@@ -220,10 +224,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Re-check a certificate's block-local clauses; see certificate_failures.
-
-    Exit 0 says every clause holds, not that the system is controllable:
-    the exact confirmation that check runs before CERTIFIED is not repeated.
+    """Re-check a certificate's block-local clauses (certificate_failures),
+    then prove the system controllable: full rank at the Kalman test's point,
+    or else a pencil minor gcd free of s, under the default column cap.
     """
     try:
         system = load_system(args.system)
@@ -237,6 +240,14 @@ def cmd_verify(args) -> int:
         return _fail(str(e))
 
     _print_certificate(cert)
+    if not failures and _kalman_rank_at_point(system) != system.n:
+        try:
+            g = _pencil_gcd(system, DEFAULT_MAX_COLUMNS)
+        except ColumnLimitError as e:
+            print(f"INCONCLUSIVE: every clause holds, but controllability is unconfirmed: {e}")
+            return EXIT_INCONCLUSIVE
+        if g.s_degree() > 0:
+            failures.append(f"pencil minors share the s-dependent factor gcd = {g}")
     if not failures:
         print(f"certificate verified against {system.name!r}: "
               f"all witnesses are nonzero, s-free and disjoint")

@@ -124,8 +124,8 @@ class Polynomial:
     """Sparse exact multivariate polynomial over Q.
 
     ``terms`` maps exponent tuples (one entry per space variable, s last) to
-    nonzero Fractions.  Instances are immutable; every operation returns a
-    fresh canonical value, so the zero test is just "no terms".
+    nonzero exact coefficients, Fractions or ints, stored as given.  Instances
+    are immutable; every operation returns a fresh canonical value.
     """
 
     __slots__ = ("space", "terms")
@@ -133,7 +133,6 @@ class Polynomial:
     def __init__(self, space: ParamSpace, terms: Mapping[tuple[int, ...], Fraction]):
         clean: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
             if coeff:
                 clean[mono] = coeff
         self.space = space
@@ -347,7 +346,7 @@ def poly_divexact(p: Polynomial, d: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     if d.is_constant():
-        return p * (1 / d.constant_value())
+        return p * Fraction(1, d.constant_value())
     space = p.space
     quot: dict[tuple[int, ...], Fraction] = {}
     rem = p
@@ -358,7 +357,7 @@ def poly_divexact(p: Polynomial, d: Polynomial) -> Polynomial:
         diff = tuple(a - b for a, b in zip(lm_r, lm_d))
         if any(e < 0 for e in diff):
             raise ValueError("inexact polynomial division")
-        c = rem.terms[lm_r] / lc_d
+        c = Fraction(rem.terms[lm_r], lc_d)
         quot[diff] = quot.get(diff, Fraction(0)) + c
         rem = rem - Polynomial(space, {diff: c}) * d
     return Polynomial(space, quot)
@@ -513,7 +512,7 @@ def _normalize_in_s(g: Polynomial) -> Polynomial:
         return g.space.one()
     lc = g.leading_coeff_in(s_idx)
     if lc.is_constant():
-        return g * (1 / lc.constant_value())
+        return g * Fraction(1, lc.constant_value())
     return _normalized(g)
 
 
@@ -591,17 +590,10 @@ class RationalFunction:
             return RationalFunction.from_const(self.space, other)
         return None
 
-    def _check_space(self, other: RationalFunction) -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError(
-                f"operands live in different spaces: {self.space.variables} vs {other.space.variables}"
-            )
-
     def __add__(self, other: object) -> RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._check_space(o)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -625,7 +617,6 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._check_space(o)
         return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -634,10 +625,10 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._check_space(o)
+        num = self.num * o.den
         if o.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return RationalFunction(num, self.den * o.num)
 
     def __rtruediv__(self, other: object) -> RationalFunction:
         o = self._coerce(other)
@@ -671,7 +662,7 @@ class RationalFunction:
         if self.den.is_one():
             return str(self.num)
         if self.den.is_constant():
-            return str(self.num * (1 / self.den.constant_value()))
+            return str(self.num * Fraction(1, self.den.constant_value()))
         return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:

@@ -11,7 +11,9 @@ The minor gcd in s needs no determinant exactly, only up to such factors, so
 ``minors_gcd_in_s`` clears the rows once, to integer coefficients, and takes
 every minor of the cleared matrix: no minor divides a scale back out.  A
 minor that the running gcd already divides in F(z)[s] cannot change it, and
-one pseudo-division finds that without a gcd.
+one pseudo-division finds that without a gcd.  The enumeration is
+exponential in the column count and has no cap of its own; the checker
+decides whether a pencil is narrow enough to enumerate.
 
 Pivoting is deterministic: elimination walks columns left to right and picks
 the nonzero candidate in the lowest row, so determinant signs and every
@@ -39,29 +41,12 @@ from .field import (
 
 __all__ = [
     "SymMatrix",
-    "ColumnLimitError",
     "build_pencil",
     "rank",
     "det",
     "det_cofactor",
     "minors_gcd_in_s",
-    "DEFAULT_MAX_COLUMNS",
 ]
-
-# Full minor enumeration is exponential; above this many columns the checker
-# refuses to guess and reports the limit instead.
-DEFAULT_MAX_COLUMNS = 12
-
-
-class ColumnLimitError(RuntimeError):
-    """Raised when full minor enumeration would exceed the column cap."""
-
-    def __init__(self, cols: int, limit: int):
-        self.cols = cols
-        self.limit = limit
-        super().__init__(
-            f"matrix has {cols} columns; full minor enumeration is capped at {limit}"
-        )
 
 
 def _as_rf(space: ParamSpace, v) -> RationalFunction:
@@ -165,7 +150,8 @@ class SymMatrix:
         return SymMatrix(self.space, out)
 
     def involves_s(self) -> bool:
-        return any(v.involves_s() for row in self.entries for v in row)
+        """True iff some entry's numerator or denominator mentions s."""
+        return any(v.num.involves_s() or v.den.involves_s() for row in self.entries for v in row)
 
     def evaluate(self, point: Mapping[str, int | Fraction]) -> SymMatrix:
         """Entrywise exact evaluation; the result is a constant matrix."""
@@ -327,7 +313,7 @@ def _cofactor(entries, rows: list[int], cols: list[int], space: ParamSpace) -> R
     return total
 
 
-def minors_gcd_in_s(M: SymMatrix, k: int, max_columns: int = DEFAULT_MAX_COLUMNS) -> Polynomial:
+def minors_gcd_in_s(M: SymMatrix, k: int) -> Polynomial:
     """Gcd in F(z)[s] over all k x k minors of M, whose denominators are s-free.
 
     M's rows are cleared once, each times an s-free factor that leaves
@@ -336,12 +322,11 @@ def minors_gcd_in_s(M: SymMatrix, k: int, max_columns: int = DEFAULT_MAX_COLUMNS
     unit, which is exactly what the pencil test needs.  A minor that the
     running gcd divides in F(z)[s] is passed over without a gcd.  Returns the
     zero polynomial iff every minor vanishes; folding stops early once the
-    running gcd is a unit.
+    running gcd is a unit.  Every minor may be enumerated, whatever the
+    width: a caller that needs a bound checks M.cols first.
     """
     if k > min(M.rows, M.cols):
         raise ValueError(f"no {k}x{k} minors in a {M.rows}x{M.cols} matrix")
-    if M.cols > max_columns:
-        raise ColumnLimitError(M.cols, max_columns)
     # Integer coefficients keep each entry's denominator at 1, so every det
     # below takes the entries as they are and divides no scale back out.
     integer_rows = []

@@ -347,6 +347,61 @@ def test_cert_out_without_certificate_exits_3_on_positive_verdicts(sigma_files, 
     assert "no certificate" in captured.err
 
 
+def test_verify_rejects_the_swap_certificate(tmp_path, capsys):
+    # Every block-local clause holds, yet the system is not controllable.
+    system = tmp_path / "swap.json"
+    system.write_text(json.dumps({"name": "swap", "parameters": [],
+                                  "A": [["0", "1"], ["1", "0"]], "B": [["0"], ["0"]]}))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"blocks": [
+        {"rows": [1], "base": ["a2"], "witness": "-1"},
+        {"rows": [2], "base": ["a1"], "witness": "-1"},
+    ]}))
+    rc = run(["verify", str(system), str(cert_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "block rows 1: base {a2}, witness -1",
+        "block rows 2: base {a1}, witness -1",
+        "FAILED: pencil minors share the s-dependent factor gcd = s^2 - 1",
+    ]
+
+
+def test_verify_past_the_column_cap_is_inconclusive(tmp_path, monkeypatch, capsys):
+    # A 13-state cyclic shift with no input: each singleton block has a -1
+    # witness, the point proof fails, and 14 pencil columns exceed the cap.
+    n = 13
+    A = [["1" if j == (i + 1) % n else "0" for j in range(n)] for i in range(n)]
+    system = tmp_path / "cycle.json"
+    system.write_text(json.dumps({"name": "cycle", "parameters": [],
+                                  "A": A, "B": [["0"]] * n}))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"blocks": [
+        {"rows": [i + 1], "base": [f"a{(i + 1) % n + 1}"], "witness": "-1"} for i in range(n)
+    ]}))
+
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("the minor gcd was computed past the column cap")
+
+    monkeypatch.setattr(sccheck.checker, "minors_gcd_in_s", no_gcd)
+    rc = run(["verify", str(system), str(cert_path)])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.splitlines()[-1].startswith("INCONCLUSIVE: ")
+    assert "capped at 12" in out
+
+
+def test_check_rejects_s_that_cancels(tmp_path, capsys):
+    # A = s/s mentions s, so it is an input error, not a verdict.
+    system = tmp_path / "ss.json"
+    system.write_text(json.dumps({"name": "ss", "parameters": [],
+                                  "A": [["s/s"]], "B": [["1"]]}))
+    rc = run(["check", str(system), "--method", "all"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "pencil indeterminate 's'" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_rejects_malformed_certificate_file(pendulum_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from sccheck import (
     ParamSpace,
     PoleError,
+    Polynomial,
     RationalFunction,
     SpaceMismatchError,
     gcd_in_s,
@@ -52,8 +54,24 @@ def test_commutator_is_zero():
 
 def test_space_mismatch_is_an_error():
     other = ParamSpace(["w"])
+    w = RationalFunction(other.var("w"))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(SpaceMismatchError, match="operands live in different spaces"):
+            op(RationalFunction(Z1), w)
+    # The space is checked before the zero divisor.
     with pytest.raises(SpaceMismatchError):
-        RationalFunction(Z1) + RationalFunction(other.var("w"))
+        RationalFunction(Z1) / RationalFunction(other.zero())
+
+
+def test_integer_coefficients_stay_exact():
+    # A library caller may build a Polynomial from ints; divisions stay in Q.
+    p = Polynomial(SP, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 3})
+    half = poly_divexact(p, Polynomial(SP, {(0, 0, 0, 0): 2}))
+    assert all(type(c) is Fraction for c in half.terms.values())
+    assert half == p * Fraction(1, 2)
+    assert str(half) == "1/2*z1 + 3/2"
+    assert str(RationalFunction(p, Polynomial(SP, {(0, 0, 0, 0): 3}))) == "1/3*z1 + 1"
+    assert str(poly_divexact(p * p, p)) == "z1 + 3"
 
 
 def test_equality_is_independent_of_reduction_depth():

@@ -69,9 +69,11 @@ def test_invalid_json_is_rejected(tmp_path):
 
 
 def test_s_in_matrix_entries_is_rejected(tmp_path):
-    doc = dict(BASE, A=[["s"]])
-    with pytest.raises(SystemFileError):
-        load_system(_write(tmp_path, doc))
+    # An entry that mentions s is rejected even when it reduces to an s-free value.
+    for entry in ("s", "s/s", "z1*s/s"):
+        doc = dict(BASE, A=[[entry]])
+        with pytest.raises(SystemFileError, match="pencil indeterminate 's'"):
+            load_system(_write(tmp_path, doc))
 
 
 def test_certificate_save_load_round_trip(tmp_path, example1):
