@@ -45,6 +45,7 @@ __all__ = [
     "composite_certificate_check",
     "verify_certificate",
     "certificate_failures",
+    "controllability_failures",
     "controllability_matrix",
 ]
 
@@ -479,7 +480,8 @@ def certificate_failures(sys: SystemDef, cert: Certificate) -> list[str]:
     path that produced them), so this doubles as a third-party checker for
     exported certificates.  The clauses are block-local, so an empty list
     does not prove the system controllable (the swap system in
-    certificate_search's docstring passes); cli's verify adds that proof.
+    certificate_search's docstring passes); controllability_failures adds
+    that proof.  A shape or a label that does not fit raises ValueError.
     """
     n = sys.n
     if cert.partition.n != n:
@@ -540,6 +542,17 @@ def certificate_failures(sys: SystemDef, cert: Certificate) -> list[str]:
     return failures
 
 
+def controllability_failures(sys: SystemDef) -> list[str]:
+    """Empty once the system is proved controllable: by rank n at the Kalman
+    test's point, or else by a pencil minor gcd free of s, read under
+    DEFAULT_MAX_COLUMNS (past it, ColumnLimitError proves nothing)."""
+    if _kalman_rank_at_point(sys) == sys.n:
+        return []
+    g = _pencil_gcd(sys, DEFAULT_MAX_COLUMNS)
+    return [f"pencil minors share the s-dependent factor gcd = {g}"] if g.s_degree() > 0 else []
+
+
 def verify_certificate(sys: SystemDef, cert: Certificate) -> bool:
-    """True iff every certificate clause reverifies; see certificate_failures."""
-    return not certificate_failures(sys, cert)
+    """``sccheck verify``'s answer: every clause holds and the system is proved
+    controllable.  ColumnLimitError past the cap is verify's INCONCLUSIVE."""
+    return not certificate_failures(sys, cert) and not controllability_failures(sys)

@@ -12,9 +12,11 @@ Exit status contract (shared by all subcommands):
        and the system is proved controllable)
     1  NOT_CONTROLLABLE (exact tests only; certificate search never says this)
     2  INCONCLUSIVE (verify: the clauses hold, but the pencil is too wide)
-    3  input error (bad file, bad expression, bad flags, shape mismatch,
-       unwritable output file); check --cert-out with no certificate to
-       write still prints its report, and exits 1 on a NOT_CONTROLLABLE
+    3  input error (missing, unreadable, non-UTF-8 or malformed file, bad
+       expression, nesting too deep, over-long integer literal, bad flags,
+       shape mismatch, unwritable output file); check --cert-out with no
+       certificate to write still prints its report, and exits 1 on a
+       NOT_CONTROLLABLE
     4  internal error (an unexpected exception in sccheck itself)
 
 Output is deterministic: fixed search orders, and every verdict names the
@@ -39,11 +41,10 @@ from .checker import (
     RowPartition,
     Status,
     Verdict,
-    _kalman_rank_at_point,
-    _pencil_gcd,
     certificate_failures,
     certificate_search,
     compose_parallel,
+    controllability_failures,
     kalman_check,
     pbh_check,
 )
@@ -142,11 +143,7 @@ def _print_certificate(cert: Certificate, indent: str = "") -> None:
 
 
 def cmd_check(args) -> int:
-    try:
-        system = load_system(args.path)
-    except (SystemFileError, ParseError) as e:
-        return _fail(str(e))
-
+    system = load_system(args.path)
     partition = None
     if args.partition is not None:
         try:
@@ -206,10 +203,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    try:
-        subs = [load_system(p) for p in args.paths]
-    except (SystemFileError, ParseError) as e:
-        return _fail(str(e))
+    subs = [load_system(p) for p in args.paths]
     try:
         composite = compose_parallel(subs)
     except ValueError as e:
@@ -224,30 +218,23 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Re-check a certificate's block-local clauses (certificate_failures),
-    then prove the system controllable: full rank at the Kalman test's point,
-    or else a pencil minor gcd free of s, under the default column cap.
+    """Answer as verify_certificate does, printing why: each failed block
+    clause, else the failed controllability proof, or INCONCLUSIVE past the cap.
     """
-    try:
-        system = load_system(args.system)
-        cert = load_certificate(args.certificate, system.space, system.name)
-    except (SystemFileError, ParseError) as e:
-        return _fail(str(e))
-
+    system = load_system(args.system)
+    cert = load_certificate(args.certificate, system.space, system.name)
     try:
         failures = certificate_failures(system, cert)
     except ValueError as e:
         return _fail(str(e))
 
     _print_certificate(cert)
-    if not failures and _kalman_rank_at_point(system) != system.n:
+    if not failures:
         try:
-            g = _pencil_gcd(system, DEFAULT_MAX_COLUMNS)
+            failures = controllability_failures(system)
         except ColumnLimitError as e:
             print(f"INCONCLUSIVE: every clause holds, but controllability is unconfirmed: {e}")
             return EXIT_INCONCLUSIVE
-        if g.s_degree() > 0:
-            failures.append(f"pencil minors share the s-dependent factor gcd = {g}")
     if not failures:
         print(f"certificate verified against {system.name!r}: "
               f"all witnesses are nonzero, s-free and disjoint")
@@ -258,6 +245,8 @@ def cmd_verify(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one subcommand; return its exit status.  Every reader's error, a
+    SystemFileError or ParseError, is an input error, so it is caught here."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -268,6 +257,8 @@ def run(argv: list[str] | None = None) -> int:
     commands = {"check": cmd_check, "compose": cmd_compose, "verify": cmd_verify}
     try:
         return commands[args.command](args)
+    except (SystemFileError, ParseError) as e:
+        return _fail(str(e))
     except Exception:
         # A fault in sccheck itself must not read as a verdict.
         traceback.print_exc()

@@ -86,10 +86,10 @@ def _tokenize(src: ExprSource) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
             start_col = col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
                 col += 1
             if i < len(text) and (text[i].isalpha() or text[i] == "_"):
@@ -183,13 +183,19 @@ class _Parser:
             if tok.kind != "INT":
                 raise self.error(f"exponent must be a non-negative integer literal, got {tok.value!r}",
                                  tok, ("integer",))
-            value = value ** int(tok.value)
+            value = value ** self.integer(tok)
         return value
+
+    def integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.error(f"integer literal too long ({len(tok.value)} digits)", tok) from None
 
     def atom(self) -> RationalFunction:
         tok = self.advance()
         if tok.kind == "INT":
-            return RationalFunction.from_const(self.space, int(tok.value))
+            return RationalFunction.from_const(self.space, self.integer(tok))
         if tok.kind == "IDENT":
             if tok.value not in self.space.variables:
                 raise UnknownIdentifierError(
@@ -212,10 +218,17 @@ class _Parser:
 
 
 def parse_expr(src: ExprSource | str, space: ParamSpace) -> RationalFunction:
-    """Parse an expression into an exact element of F(z)(s)."""
+    """Parse an expression into an exact element of F(z)(s).
+
+    Every bad input raises ParseError at its line:column, over-deep nesting
+    and over-long integer literals included."""
     if isinstance(src, str):
         src = ExprSource(src)
-    return _Parser(src, space).parse()
+    parser = _Parser(src, space)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error("expression is nested too deeply", parser.peek()) from None
 
 
 def render(value: RationalFunction) -> str:

@@ -73,12 +73,16 @@ def _string_grid(doc: dict, key: str, where: str) -> list[list[str]]:
 
 
 def _load_json(path: str | Path, where: str) -> dict:
+    """Read one JSON object; every failure to open, decode or parse the file
+    is a SystemFileError, so callers treat all of them as input errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise SystemFileError(f"{where}: no such file: {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise SystemFileError(f"{where}: cannot read: {e.strerror or e}") from None
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or too deep
         raise SystemFileError(f"{where}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SystemFileError(f"{where}: top-level value must be an object")

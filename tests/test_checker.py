@@ -7,6 +7,7 @@ import sccheck.checker
 import sccheck.matroid
 from sccheck import (
     Certificate,
+    ColumnLimitError,
     ParamSpace,
     RowPartition,
     Status,
@@ -436,6 +437,39 @@ def test_verify_rejects_printed_bench_certificate(example1):
 def test_verify_accepts_pendulum_certificate(pendulum):
     v = certificate_search(pendulum, RowPartition.from_spec("1,2;3,4;5,6", 6))
     assert verify_certificate(pendulum, v.certificate)
+
+
+def _cycle(n: int) -> tuple[SystemDef, Certificate]:
+    """The inputless cyclic shift on n states, with its singleton certificate:
+    every block clause holds, yet the system is uncontrollable."""
+    space = ParamSpace([])
+    A = [["1" if j == (i + 1) % n else "0" for j in range(n)] for i in range(n)]
+    sys_def = SystemDef(f"cycle{n}", space, SymMatrix.parse(space, A),
+                        SymMatrix.parse(space, [["0"]] * n))
+    witness = parse_expr("-1", space)
+    cert = Certificate(RowPartition.singletons(n), tuple(
+        UnimodularBase((f"a{(i + 1) % n + 1}",), witness) for i in range(n)))
+    return sys_def, cert
+
+
+def test_verify_certificate_rejects_the_swap_certificate():
+    # The two-state cycle is the swap system: its clauses hold, the proof fails.
+    # The pendulum and Example-1 certificates still pass (tests above).
+    swap, cert = _cycle(2)
+    assert certificate_failures(swap, cert) == []
+    assert not verify_certificate(swap, cert)
+
+
+def test_verify_certificate_past_the_column_cap_raises(monkeypatch):
+    cycle, cert = _cycle(13)
+
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("the minor gcd was computed past the column cap")
+
+    monkeypatch.setattr(sccheck.checker, "minors_gcd_in_s", no_gcd)
+    assert certificate_failures(cycle, cert) == []
+    with pytest.raises(ColumnLimitError, match="capped at 12"):
+        verify_certificate(cycle, cert)
 
 
 def test_verify_rejects_overlapping_bases(example1):

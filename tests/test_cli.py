@@ -1,4 +1,9 @@
+import contextlib
+import io
+import itertools
 import json
+import re
+import sys
 
 import pytest
 
@@ -448,3 +453,229 @@ def test_internal_error_has_its_own_status(pendulum_file, monkeypatch, capsys):
     assert rc == 4
     assert "broken on purpose" in err
     assert "internal error" in err
+
+
+NON_UTF8 = b'{"name": "caf\xe9"}'
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _int_digits_over_the_limit() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python does not limit integer string conversion")
+    return limit + 1
+
+
+def _entry_file(tmp_path, entry: str):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"name": "hostile", "parameters": ["z1"],
+                                "A": [[entry]], "B": [["1"]]}))
+    return path
+
+
+def _deep_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    return path
+
+
+def _latin1_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(NON_UTF8)
+    return path
+
+
+# Each case gives the argv, the file its error must name, and whether the
+# error must also give a line:column inside an entry.
+HOSTILE = {
+    "directory-check": lambda t, pend: (["check", str(t)], t, False),
+    "directory-compose": lambda t, pend: (["compose", str(t), str(pend), "-o",
+                                           str(t / "x.json")], t, False),
+    "non-utf8": lambda t, pend: (["check", str(_latin1_file(t))], t / "latin1.json", False),
+    "deep-json-system": lambda t, pend: (["check", str(_deep_file(t))], t / "deep.json", False),
+    "deep-json-certificate": lambda t, pend: (["verify", str(pend), str(_deep_file(t))],
+                                              t / "deep.json", False),
+    "nested-parentheses": lambda t, pend: (
+        ["check", str(_entry_file(t, "(" * 400 + "z1" + ")" * 400))], t / "hostile.json", True),
+    "unary-minuses": lambda t, pend: (
+        ["check", str(_entry_file(t, "-" * 2000 + "z1"))], t / "hostile.json", True),
+    "long-literal": lambda t, pend: (
+        ["check", str(_entry_file(t, "1" * _int_digits_over_the_limit()))],
+        t / "hostile.json", True),
+    "long-exponent": lambda t, pend: (
+        ["check", str(_entry_file(t, "z1^" + "1" * _int_digits_over_the_limit()))],
+        t / "hostile.json", True),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE))
+def test_hostile_input_is_an_input_error(case, tmp_path, pendulum_file, capsys):
+    argv, named, at_entry = HOSTILE[case](tmp_path, pendulum_file)
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {named}:")
+    if at_entry:
+        assert re.match(rf"error: {re.escape(str(named))}:A\[1\]\[1\]:1:\d+: ", line)
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _reported_statuses(rc, out, as_json):
+    """The verdict statuses of a printed check report, or None if none was
+    printed; the report's own status must be the exit status."""
+    if not out:
+        return None
+    if as_json:
+        report = json.loads(out)
+        assert report["status"] == rc
+        return {r["status"] for r in report["results"]}
+    assert out.splitlines()[-1] == f"exit status: {rc}"
+    return {m.group(1) for m in re.finditer(r"^\[\w+\] (\w+) - ", out, re.MULTILINE)}
+
+
+def test_cli_contract_property(tmp_path):
+    """Random files and flags through run(): the exit status contract holds."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    good = ["0", "1", "-1", "2/3", "z1", "z2", "z1 + 1", "z1*z2", "1/z1", "(z1 - z2)^2",
+            "z1/(z2 + 1)", "-z2 + 3"]
+    bad = ["s", "s/s", "z1*s", "bogus", "1/0", "z1/(z1 - z1)", "2z1", "(z1", "z1^-1", "",
+           "²", "(" * 400 + "1" + ")" * 400, "-" * 2000 + "1"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        bad += ["1" * (limit + 1), "z1^" + "1" * (limit + 1)]
+
+    @st.composite
+    def system_docs(draw):
+        n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        clean = draw(st.sampled_from([True, True, False]))
+        entries = st.sampled_from(good if clean else good + bad)
+        zero_b = clean and draw(st.sampled_from([True, False, False, False]))
+        doc = {
+            "name": draw(st.sampled_from(["p", "q"])),
+            "parameters": ["z1", "z2"] if clean else draw(st.sampled_from(
+                [[], ["z1"], ["z1", "z2"], ["z1", "z1"], ["s"], [1]])),
+            "A": [[draw(entries) for _ in range(n)] for _ in range(n)],
+            "B": [["0" if zero_b else draw(entries) for _ in range(m)] for _ in range(n)],
+        }
+        damage = "none" if clean else draw(st.sampled_from(
+            ["none", "drop", "retype", "ragged", "number", "s_name"]))
+        key = draw(st.sampled_from(["name", "parameters", "A", "B"]))
+        if damage == "drop":
+            del doc[key]
+        elif damage == "retype":
+            doc[key] = 7
+        elif damage == "ragged":
+            doc[key if key in "AB" else "A"][0].append("1")
+        elif damage == "number":
+            doc["B"][0][0] = 1
+        elif damage == "s_name":
+            doc["s"] = draw(st.sampled_from(["z1", "t", 3]))
+        return doc
+
+    certificate_docs = st.fixed_dictionaries({"blocks": st.lists(st.fixed_dictionaries({
+        "rows": st.sampled_from([[1], [2], [1, 2], [2, 1], [1, 1], [3], [0], [True]]),
+        "base": st.lists(st.sampled_from(["a1", "a2", "a3", "a4", "a9"]), max_size=2),
+        "witness": st.sampled_from(good + bad[:6] + ["-1", "-s + z1", "s - z1"]),
+    }), min_size=1, max_size=2)}, optional={"system": st.sampled_from(["p", "q"])})
+
+    @st.composite
+    def files(draw, docs):
+        # Mostly a document, else one of the ways a path can fail to hold one.
+        kind = draw(st.sampled_from(["doc"] * 15 + ["list", "not_json", "latin1", "deep",
+                                                    "missing", "directory"]))
+        return kind, draw(docs) if kind == "doc" else None
+
+    outputs = st.sampled_from(["fresh", "directory", "missing_dir"])
+    # Each flag is left out (None) about as often as one of its values is given.
+    flags = st.fixed_dictionaries({
+        "--method": st.sampled_from([None] * 4 + ["pbh", "kalman", "matroid", "all"]),
+        "--partition": st.sampled_from([None] * 6 + ["1", "2", "1,2", "1;2", "2;1", "1,1", "x"]),
+        "--json": st.sampled_from([None, True]),
+        "--cert-out": st.sampled_from([None] * 3 + ["fresh"] * 4 + ["directory",
+                                                                    "missing_dir"]),
+        "--seed": st.sampled_from([None, "0", "7", "-3"]),
+        "--max-bases": st.sampled_from([None] * 4 + ["0", "1", "2", "10000"]),
+        "--max-columns": st.sampled_from([None] * 4 + ["0", "2", "12"]),
+    }).map(lambda d: {k: v for k, v in d.items() if v is not None})
+
+    @st.composite
+    def commands(draw):
+        name = draw(st.sampled_from(["check"] * 3 + ["verify", "compose"]))
+        if name == "check":
+            return name, [draw(files(system_docs()))], draw(flags)
+        if name == "verify":
+            return name, [draw(files(system_docs())), draw(files(certificate_docs))], None
+        return name, draw(st.lists(files(system_docs()), min_size=1, max_size=3)), draw(outputs)
+
+    counter = itertools.count()
+
+    def write(where, kind, doc):
+        path = where / f"f{next(counter)}.json"
+        if kind == "doc":
+            path.write_text(json.dumps(doc))
+        elif kind == "list":
+            path.write_text("[1, 2]")
+        elif kind == "not_json":
+            path.write_text("{\"name\": ")
+        elif kind == "latin1":
+            path.write_bytes(NON_UTF8)
+        elif kind == "deep":
+            path.write_text(DEEP_JSON)
+        elif kind == "directory":
+            path.mkdir()
+        return str(path)
+
+    def output(where, kind):
+        return str({"fresh": where / "out.json", "directory": where,
+                    "missing_dir": where / "missing" / "out.json"}[kind])
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(commands())
+    def contract(command):
+        name, file_specs, extra = command
+        where = tmp_path / f"case{next(counter)}"
+        where.mkdir()
+        paths = [write(where, kind, doc) for kind, doc in file_specs]
+        argv = [name, *paths]
+        if name == "compose":
+            argv += ["-o", output(where, extra)]
+        elif name == "check":
+            for flag, value in extra.items():
+                if flag == "--cert-out":
+                    value = output(where, value)
+                argv += [flag] if value is True else [flag, value]
+        rc, out, err = _run_captured(argv)
+        assert rc in (0, 1, 2, 3), (argv, err)
+        if rc == 3:
+            assert "error:" in err
+        if name != "check":
+            return
+        statuses = _reported_statuses(rc, out, "--json" in extra)
+        if statuses is None:
+            assert rc == 3
+            return
+        cert_out = extra.get("--cert-out")
+        if "NOT_CONTROLLABLE" in statuses:
+            expected = 1
+        elif cert_out is not None and (cert_out != "fresh" or "CERTIFIED" not in statuses):
+            expected = 3  # an unwritable path, or nothing to export
+        else:
+            expected = 0 if statuses & {"CONTROLLABLE", "CERTIFIED"} else 2
+        assert rc == expected, (argv, out, err)
+        written = where / "out.json"
+        if cert_out == "fresh" and written.exists():
+            assert "CERTIFIED" in statuses
+            rc, out, err = _run_captured(["verify", paths[0], str(written)])
+            assert rc == 0, (argv, out, err)
+
+    contract()

@@ -75,7 +75,7 @@ def test_exponent_must_be_a_literal():
 
 
 @pytest.mark.parametrize("bad", [
-    "", "(", "(z1", "z1+", "z1 z2", "*z1", "z1+*z2", "z1)", "1..2", "a$b",
+    "", "(", "(z1", "z1+", "z1 z2", "*z1", "z1+*z2", "z1)", "1..2", "a$b", "²", "z1^²",
 ])
 def test_rejected_inputs_carry_a_position(bad):
     with pytest.raises(ParseError) as err:

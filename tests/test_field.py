@@ -289,3 +289,53 @@ def test_gcd_in_s_matches_sympy_up_to_an_s_free_factor():
         assert ratio != 0 and not ratio.has(s), (p, q)
         shared += ours.s_degree() > 0
     assert shared >= 5
+
+
+def _rational_functions(min_den_terms=1):
+    """A hypothesis strategy for elements of Q(z1, z2)(s) with up to three
+    terms above and below the bar."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    space = ParamSpace(["z1", "z2"])
+    monomials = st.tuples(*[st.integers(0, 2)] * space.nvars)
+    coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+    def polynomials(min_size):
+        return st.dictionaries(monomials, coefficients, min_size=min_size, max_size=3).map(
+            lambda terms: Polynomial(space, terms))
+
+    return st.builds(RationalFunction, polynomials(0), polynomials(min_den_terms))
+
+
+_PROPERTY_SETTINGS = dict(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+def test_field_axioms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    values = _rational_functions()
+
+    @hypothesis.settings(**_PROPERTY_SETTINGS)
+    @hypothesis.given(values, values, values)
+    def axioms(x, y, z):
+        assert x + y == y + x
+        assert x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x - y) + y == x
+        if not x.is_zero():
+            assert (x / x).is_one()
+
+    axioms()
+
+
+def test_parse_round_trip_with_multi_term_denominators_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(**_PROPERTY_SETTINGS)
+    @hypothesis.given(_rational_functions(min_den_terms=2))
+    def round_trip(x):
+        hypothesis.assume(len(x.den.terms) >= 2)  # a zero numerator makes it 1
+        assert parse_expr(str(x), x.space) == x
+
+    round_trip()
