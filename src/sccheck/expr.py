@@ -16,16 +16,27 @@ There is no implicit multiplication: "2z1" is a syntax error.
 Every diagnostic carries the 1-based line/column of the offending token
 inside the source text (offset by the ExprSource origin, so errors inside a
 larger document point at the right place).
+
+Parse work is bounded: a '^' with an exponent above MAX_EXPONENT, and a
+'*', '/' or '^' whose numerator or denominator could have more than
+MAX_TERMS terms, are refused at the operator before the operation runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .field import ParamSpace, RationalFunction
 
 __all__ = ["ExprSource", "ParseError", "UnknownIdentifierError", "ZeroDivisorError",
            "parse_expr", "render"]
+
+# Far above every expression the examples, tests and benchmark inputs write
+# (exponents up to 4, operations of up to 9 terms), and low enough that the
+# costliest operation they admit runs in a fraction of a second.
+MAX_EXPONENT = 100
+MAX_TERMS = 256
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,9 @@ class _Parser:
         while self.peek().kind == "OP" and self.peek().value in "*/":
             op = self.advance()
             rhs = self.unary()
+            num, den = (rhs.num, rhs.den) if op.value == "*" else (rhs.den, rhs.num)
+            self.check_terms(op, len(value.num.terms) * len(num.terms),
+                             len(value.den.terms) * len(den.terms))
             if op.value == "*":
                 value = value * rhs
             else:
@@ -178,13 +192,26 @@ class _Parser:
     def power(self) -> RationalFunction:
         value = self.atom()
         while self.peek().kind == "OP" and self.peek().value == "^":
-            self.advance()
+            op = self.advance()
             tok = self.advance()
             if tok.kind != "INT":
                 raise self.error(f"exponent must be a non-negative integer literal, got {tok.value!r}",
                                  tok, ("integer",))
-            value = value ** self.integer(tok)
+            k = self.integer(tok)
+            if k > MAX_EXPONENT:
+                raise self.error(f"exponent {k} is above the bound {MAX_EXPONENT}", op)
+            # p^k has at most one term per degree-k monomial in p's terms
+            self.check_terms(op, *(math.comb(len(p.terms) + k - 1, k) if p.terms else 0
+                                   for p in (value.num, value.den)))
+            value = value ** k
         return value
+
+    def check_terms(self, op: _Token, num_terms: int, den_terms: int) -> None:
+        """Refuse op when its numerator or denominator, before reduction,
+        could have more than MAX_TERMS terms."""
+        bound = max(num_terms, den_terms)
+        if bound > MAX_TERMS:
+            raise self.error(f"{op.value!r} could give {bound} terms, above the bound {MAX_TERMS}", op)
 
     def integer(self, tok: _Token) -> int:
         try:

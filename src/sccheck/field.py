@@ -11,7 +11,7 @@ the common rational content and makes the denominator's leading coefficient
 positive; the full multivariate gcd reduction is deferred until a term count
 threshold is exceeded (``REDUCTION_THRESHOLD``), because equality is decided
 by cross multiplication and is exact regardless of how far a value has been
-reduced.
+reduced.  A constant denominator needs no gcd: the content step reduces it.
 """
 
 from __future__ import annotations
@@ -672,7 +672,7 @@ class RationalFunction:
 def _normalize_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     if num.is_zero():
         return num, den.space.one()
-    if max(len(num.terms), len(den.terms)) > REDUCTION_THRESHOLD and not den.is_one():
+    if max(len(num.terms), len(den.terms)) > REDUCTION_THRESHOLD and not den.is_constant():
         g = poly_gcd(num, den)
         if not g.is_one():
             num = poly_divexact(num, g)

@@ -1,19 +1,19 @@
 """Exact rank, determinant and minor machinery for matrices over F(z)(s).
 
-Elimination is fraction-free: the matrix is first scaled row by row to a
-polynomial matrix (each row times the lcm of its entry denominators), then
-Bareiss one-step elimination runs with exact polynomial divisions.  Row
-scaling multiplies every minor by a known nonzero s-free factor, so ranks
-are untouched, and a determinant is the cleared matrix's determinant over
-the product of the row scales, built as one rational function.
+Elimination is fraction-free: each call first scales the matrix once, row by
+row, to integer polynomials (times the lcm of the row's entry denominators,
+then of the coefficient denominators left), and Bareiss one-step elimination
+runs with exact polynomial divisions.  Row scaling multiplies every minor by
+a known nonzero s-free factor, so ranks are untouched, and a determinant is
+the cleared matrix's determinant over the product of the row scales.
 
 The minor gcd in s needs no determinant exactly, only up to such factors, so
-``minors_gcd_in_s`` clears the rows once, to integer coefficients, and takes
-every minor of the cleared matrix: no minor divides a scale back out.  A
-minor that the running gcd already divides in F(z)[s] cannot change it, and
-one pseudo-division finds that without a gcd.  The enumeration is
-exponential in the column count and has no cap of its own; the checker
-decides whether a pencil is narrow enough to enumerate.
+``minors_gcd_in_s`` takes every minor of the cleared matrix, whose entries
+have denominator 1: no minor divides a scale back out.  A minor that the
+running gcd already divides in F(z)[s] cannot change it, and one
+pseudo-division finds that without a gcd.  The enumeration is exponential in
+the column count and has no cap of its own; the checker decides whether a
+pencil is narrow enough to enumerate.
 
 Pivoting is deterministic: elimination walks columns left to right and picks
 the nonzero candidate in the lowest row, so determinant signs and every
@@ -208,7 +208,9 @@ def build_pencil(A: SymMatrix, B: SymMatrix) -> SymMatrix:
 
 
 def _cleared_rows(M: SymMatrix) -> tuple[list[list[Polynomial]], list[Polynomial]]:
-    """Polynomial rows plus the per-row scale factor (lcm of denominators)."""
+    """Integer polynomial rows plus each row's s-free scale: the lcm of the
+    row's entry denominators times the lcm of the coefficient denominators
+    that are left."""
     out_rows = []
     scales = []
     for row in M.entries:
@@ -218,8 +220,11 @@ def _cleared_rows(M: SymMatrix) -> tuple[list[list[Polynomial]], list[Polynomial
                 scale = poly_lcm(scale, v.den)
         # The scale is normalized, so a constant denominator other than 1
         # still leaves a factor 1/den on its numerator.
-        out_rows.append([v.num if v.den == scale else v.num * poly_divexact(scale, v.den)
-                         for v in row])
+        cleared = [v.num if v.den == scale else v.num * poly_divexact(scale, v.den) for v in row]
+        coeff_den = math.lcm(*(c.denominator for p in cleared for c in p.terms.values()))
+        if coeff_den > 1:
+            cleared, scale = [p * coeff_den for p in cleared], scale * coeff_den
+        out_rows.append(cleared)
         scales.append(scale)
     return out_rows, scales
 
@@ -289,37 +294,41 @@ def det(M: SymMatrix) -> RationalFunction:
 
 
 def det_cofactor(M: SymMatrix) -> RationalFunction:
-    """Determinant by cofactor expansion; the independent cross-check route."""
+    """Determinant by cofactor expansion; the independent cross-check route.
+
+    The expansion walks down the rows, so a sub-minor is fixed by its column
+    set.  Each is expanded once and kept for the length of the call: a k x k
+    matrix takes at most k * 2^(k-1) products, not k!.
+    """
     if M.rows != M.cols:
         raise ValueError(f"determinant of a non-square {M.rows}x{M.cols} matrix")
-    return _cofactor(M.entries, list(range(M.rows)), list(range(M.cols)), M.space)
+    memo: dict[tuple[int, ...], RationalFunction] = {}
 
+    def minor(cols: tuple[int, ...]) -> RationalFunction:
+        i = M.rows - len(cols)
+        if len(cols) == 1:
+            return M.entries[i][cols[0]]
+        if cols not in memo:
+            total = RationalFunction.from_const(M.space, 0)
+            for k, j in enumerate(cols):
+                a = M.entries[i][j]
+                if a.is_zero():
+                    continue
+                term = a * minor(cols[:k] + cols[k + 1:])
+                total = total + (term if k % 2 == 0 else -term)
+            memo[cols] = total
+        return memo[cols]
 
-def _cofactor(entries, rows: list[int], cols: list[int], space: ParamSpace) -> RationalFunction:
-    if not rows:
-        return RationalFunction.from_const(space, 1)
-    if len(rows) == 1:
-        return entries[rows[0]][cols[0]]
-    i = rows[0]
-    rest = rows[1:]
-    total = RationalFunction.from_const(space, 0)
-    for k, j in enumerate(cols):
-        a = entries[i][j]
-        if a.is_zero():
-            continue
-        minor = _cofactor(entries, rest, cols[:k] + cols[k + 1:], space)
-        term = a * minor
-        total = total + (term if k % 2 == 0 else -term)
-    return total
+    return minor(tuple(range(M.cols))) if M.rows else RationalFunction.from_const(M.space, 1)
 
 
 def minors_gcd_in_s(M: SymMatrix, k: int) -> Polynomial:
     """Gcd in F(z)[s] over all k x k minors of M, whose denominators are s-free.
 
-    M's rows are cleared once, each times an s-free factor that leaves
-    integer polynomial entries, and every minor is the determinant of a
-    submatrix of that cleared matrix: each equals M's minor up to an s-free
-    unit, which is exactly what the pencil test needs.  A minor that the
+    M's rows are cleared once, as ``rank`` and ``det`` clear them, to integer
+    polynomial entries, and every minor is the determinant of a submatrix of
+    that cleared matrix: each equals M's minor up to an s-free unit, which is
+    exactly what the pencil test needs.  A minor that the
     running gcd divides in F(z)[s] is passed over without a gcd.  Returns the
     zero polynomial iff every minor vanishes; folding stops early once the
     running gcd is a unit.  Every minor may be enumerated, whatever the
@@ -327,13 +336,7 @@ def minors_gcd_in_s(M: SymMatrix, k: int) -> Polynomial:
     """
     if k > min(M.rows, M.cols):
         raise ValueError(f"no {k}x{k} minors in a {M.rows}x{M.cols} matrix")
-    # Integer coefficients keep each entry's denominator at 1, so every det
-    # below takes the entries as they are and divides no scale back out.
-    integer_rows = []
-    for row in _cleared_rows(M)[0]:
-        coeff_den = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
-        integer_rows.append([p * coeff_den for p in row])
-    cleared = SymMatrix(M.space, integer_rows, M.col_labels)
+    cleared = SymMatrix(M.space, _cleared_rows(M)[0], M.col_labels)
     running = M.space.zero()
     for row_sel in itertools.combinations(range(M.rows), k):
         for col_sel in itertools.combinations(range(M.cols), k):

@@ -55,6 +55,8 @@ class VectorMatroid:
         self.matrix = matrix
         self.ground = matrix.col_labels
         self._rank_cache: dict[frozenset[str], int] = {}
+        # A column that is zero on every row lies in no base.
+        self._nonzero = [j for j, col in enumerate(zip(*matrix.entries)) if any(not v.is_zero() for v in col)]
 
     def _check_labels(self, labels: Iterable[str]) -> tuple[str, ...]:
         labels = tuple(labels)
@@ -84,12 +86,12 @@ class VectorMatroid:
         return self.rank_of(self.ground)
 
     def enumerate_bases(self, cap: int = DEFAULT_MAX_BASES) -> BaseEnumeration:
-        """All bases in lexicographic label order, truncated at ``cap``."""
+        """All bases in lexicographic label order from the nonzero columns, truncated at ``cap``."""
         if cap < 1:
             raise ValueError("cap must be >= 1")
         r = self.rank()
         bases: list[tuple[str, ...]] = []
-        for combo in itertools.combinations(self.ground, r):
+        for combo in itertools.combinations([self.ground[j] for j in self._nonzero], r):
             if self.is_independent(combo):
                 if len(bases) == cap:
                     return BaseEnumeration(tuple(bases), True)
@@ -99,17 +101,17 @@ class VectorMatroid:
     def enumerate_unimodular_bases(self, cap: int = DEFAULT_MAX_BASES) -> BaseEnumeration:
         """Bases with an s-free nonzero determinant witness, in stable order.
 
-        Candidates are the row-count-sized column subsets, so every base
-        selects a square submatrix with a determinant to witness.  The matrix
-        needs full row rank, which holds exactly when some candidate's
-        determinant is nonzero.
+        Candidates are the row-count-sized subsets of the nonzero columns, so
+        every base selects a square submatrix with a determinant to witness.
+        The matrix needs full row rank, which holds exactly when some
+        candidate's determinant is nonzero.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         found: list[UnimodularBase] = []
         full_row_rank = False
-        for combo in itertools.combinations(self.ground, self.matrix.rows):
-            witness = det(self.matrix.columns_by_labels(combo))
+        for cols in itertools.combinations(self._nonzero, self.matrix.rows):
+            witness = det(self.matrix.submatrix(range(self.matrix.rows), cols))
             if witness.is_zero():
                 continue
             full_row_rank = True
@@ -117,7 +119,7 @@ class VectorMatroid:
                 continue
             if len(found) == cap:
                 return BaseEnumeration(tuple(found), True)
-            found.append(UnimodularBase(combo, witness))
+            found.append(UnimodularBase(tuple(self.ground[j] for j in cols), witness))
         if not full_row_rank:
             raise ValueError(
                 f"matrix has {self.matrix.rows} rows but rank {self.rank()}; "

@@ -62,6 +62,24 @@ def rand_system(space, rng, max_n=4, max_m=2):
     return SystemDef(f"random-{n}x{m}", space, A, B)
 
 
+def chain_system(space, k, spring, name=None):
+    """A k-chain: k unit masses in a row between two walls, joined by the
+    springs spring1..spring(k+1).  2k states, positions then velocities, and
+    one force input on the first mass."""
+    ks = [f"{spring}{i}" for i in range(1, k + 2)]
+    A = [["0"] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        A[i][k + i] = "1"
+        A[k + i][i] = f"-({ks[i]}+{ks[i + 1]})"
+        if i > 0:
+            A[k + i][i - 1] = ks[i]
+        if i < k - 1:
+            A[k + i][i + 1] = ks[i + 1]
+    B = [["1" if i == k else "0"] for i in range(2 * k)]
+    return SystemDef(name or f"{spring}-chain{k}", space,
+                     SymMatrix.parse(space, A), SymMatrix.parse(space, B))
+
+
 def rand_matrix(space, rng, rows, cols, allow_s=False):
     return SymMatrix.parse(
         space,

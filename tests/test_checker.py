@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import sccheck.checker
+import sccheck.linalg
 import sccheck.matroid
 from sccheck import (
     Certificate,
@@ -26,7 +27,7 @@ from sccheck import (
     verify_certificate,
 )
 
-from helpers import rand_system
+from helpers import chain_system, rand_system
 
 SP = ParamSpace(["z1", "z2", "z3"])
 
@@ -410,6 +411,23 @@ def test_composite_certificate_check_flags_bad_subsystem(duplicated_modes, sigma
     v = composite_certificate_check([duplicated_modes, sigma1])
     assert v.status is Status.NOT_CONTROLLABLE
     assert "subsystem 1" in v.evidence
+
+
+def test_chain_composite_makes_a_determinant_per_nonzero_candidate(monkeypatch):
+    # Two different 3-chains (n = 12): each 6-row block is nonzero on its own
+    # 6 state columns and the input, so C(7, 6) = 7 candidates per block,
+    # plus two minors per subsystem's pencil test; all 13 columns gave 3,436.
+    calls = []
+    original = sccheck.linalg.det
+    counting = lambda sub: calls.append(sub) or original(sub)
+    monkeypatch.setattr(sccheck.linalg, "det", counting)
+    monkeypatch.setattr(sccheck.matroid, "det", counting)
+    space = ParamSpace([f"k{i}" for i in range(1, 5)] + [f"c{i}" for i in range(1, 5)])
+    v = composite_certificate_check([chain_system(space, 3, "k"), chain_system(space, 3, "c")])
+    assert len(calls) <= 18
+    assert v.status is Status.INCONCLUSIVE
+    assert v.evidence == ("no disjoint family of unimodular bases exists for this "
+                          "partition (the condition is sufficient only)")
 
 
 # -- certificate verification ---------------------------------------------------------

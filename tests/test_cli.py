@@ -505,6 +505,10 @@ HOSTILE = {
     "long-exponent": lambda t, pend: (
         ["check", str(_entry_file(t, "z1^" + "1" * _int_digits_over_the_limit()))],
         t / "hostile.json", True),
+    "power-1000": lambda t, pend: (
+        ["check", str(_entry_file(t, "(z1+1)^1000"))], t / "hostile.json", True),
+    "power-3000": lambda t, pend: (
+        ["check", str(_entry_file(t, "(z1+1)^3000"))], t / "hostile.json", True),
 }
 
 

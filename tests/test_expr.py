@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from sccheck import ParamSpace, Polynomial, RationalFunction, parse_expr, render
-from sccheck.expr import ExprSource, ParseError, UnknownIdentifierError, ZeroDivisorError
+from sccheck.expr import (
+    MAX_EXPONENT,
+    MAX_TERMS,
+    ExprSource,
+    ParseError,
+    UnknownIdentifierError,
+    ZeroDivisorError,
+)
 
 from conftest import K12
 from helpers import rand_rf
@@ -72,6 +79,26 @@ def test_exponent_must_be_a_literal():
         parse_expr("z1^z2", SP)
     with pytest.raises(ParseError):
         parse_expr("z1^-1", SP)
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("(z1+1)^1000", 7, f"exponent 1000 is above the bound {MAX_EXPONENT}"),
+    ("(z1+1)^3000", 7, f"exponent 3000 is above the bound {MAX_EXPONENT}"),
+    # C(3 + 30 - 1, 30) = 496 monomials of degree 30 in three terms
+    ("(z1+z2+1)^30", 10, f"'^' could give 496 terms, above the bound {MAX_TERMS}"),
+    ("(z1+z2)^15*(z1+z2)^16", 11, f"'*' could give 272 terms, above the bound {MAX_TERMS}"),
+    ("1/(z1+z2)^16/(z1+z2)^16", 13, f"'/' could give 289 terms, above the bound {MAX_TERMS}"),
+])
+def test_parse_work_is_bounded_at_the_operator(text, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(ExprSource(text, origin="A[1][1]"), SP)
+    assert str(err.value) == f"A[1][1]:1:{column}: {message}"
+
+
+def test_expressions_at_the_parse_bounds_still_parse():
+    assert len(parse_expr(f"z1^{MAX_EXPONENT}", SP).num.terms) == 1
+    assert len(parse_expr("(z1+1)^100", SP).num.terms) == 101
+    assert len(parse_expr("(z1+z2)^15*(z1+z2)^15", SP).num.terms) == 31  # bound 16 * 16 = 256
 
 
 @pytest.mark.parametrize("bad", [

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import sccheck.field
 import sccheck.linalg
 from sccheck import (
     ParamSpace,
@@ -19,7 +20,7 @@ from sccheck import (
     parse_expr,
     rank,
 )
-from sccheck.field import gcd_in_s
+from sccheck.field import REDUCTION_THRESHOLD, gcd_in_s
 from sccheck.linalg import _cleared_rows
 
 from conftest import K12, K13, K17, K22, K23, K27
@@ -287,6 +288,43 @@ def test_cleared_rows_scale_every_entry_by_its_row_scale():
     for entries, cleared, scale in zip(M.entries, rows, scales):
         for v, p in zip(entries, cleared):
             assert p * v.den == v.num * scale
+            assert all(c.denominator == 1 for c in p.terms.values())
+
+
+def test_det_over_constant_row_denominators_takes_no_gcd(monkeypatch):
+    # Each row clears to integers under a constant scale, so the 70-term
+    # numerator sits over a constant, which the content step reduces: a
+    # multivariate gcd with it would be wasted work.
+    rng = random.Random(5)
+    M = SymMatrix.parse(SP, [[
+        f"({rng.randint(1, 5)}*z1 - {rng.randint(1, 5)}*z2 + {rng.randint(1, 5)}*z3"
+        f" + {rng.randint(1, 5)}*s + {rng.randint(1, 5)})/{rng.choice([2, 3, 5])}"
+        for _ in range(4)] for _ in range(4)])
+    gcd_args = []
+    original = sccheck.field.poly_gcd
+    monkeypatch.setattr(sccheck.field, "poly_gcd",
+                        lambda p, q: gcd_args.append(p) or original(p, q))
+    value = det(M)
+    assert len(value.num.terms) > REDUCTION_THRESHOLD and value.den.is_constant()
+    assert all(len(p.terms) <= REDUCTION_THRESHOLD for p in gcd_args)
+    monkeypatch.undo()
+    assert value == det_cofactor(M)
+
+
+def test_cofactor_expands_each_minor_once(monkeypatch):
+    # Dense 7 x 7: each sub-minor on k >= 2 columns costs k products, so
+    # 7 * 2^6 - 7 = 441 in all, where the plain expansion took 8,659.
+    rng = random.Random(77)
+    M = SymMatrix.parse(SP, [[rng.choice(["1", "-2", "3", "z1", "z1 - 1"])
+                              for _ in range(7)] for _ in range(7)])
+    products = []
+    original = RationalFunction.__mul__
+    monkeypatch.setattr(RationalFunction, "__mul__",
+                        lambda a, b: products.append(1) or original(a, b))
+    value = det_cofactor(M)
+    assert len(products) <= 7 * 2 ** 6
+    monkeypatch.undo()
+    assert value == det(M) == det_permutation(M)
 
 
 def test_minor_gcd_makes_one_det_call_per_minor_visited(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import sccheck.matroid
 from sccheck import (
     ParamSpace,
     SymMatrix,
@@ -117,6 +118,23 @@ def test_unimodular_bases_of_bench_blocks(bench_matroids):
     assert ("a1", "a6") not in u1  # witness (s - z1) * z3 involves s
     u2 = {b.labels for b in m2.enumerate_unimodular_bases().bases}
     assert ("a3", "a5", "a7") not in u2  # witness -s^2 + s (printed base fails)
+
+
+def test_unimodular_candidates_come_from_the_nonzero_columns(bench_matroids, monkeypatch):
+    # Example 1's blocks are nonzero on 4 and 5 of the 7 pencil columns, so
+    # C(4, 2) = 6 and C(5, 3) = 10 determinants, where all columns gave 21 and 35.
+    calls = []
+    original = sccheck.matroid.det
+    monkeypatch.setattr(sccheck.matroid, "det", lambda sub: calls.append(sub) or original(sub))
+    m1, m2 = bench_matroids
+    u1 = {b.labels: b.witness for b in m1.enumerate_unimodular_bases().bases}
+    assert len(calls) == 6
+    u2 = {b.labels for b in m2.enumerate_unimodular_bases().bases}
+    assert len(calls) == 6 + 10
+    assert u1[("a2", "a6")] == parse_expr("-z3", SP)
+    assert u1[("a2", "a7")] == parse_expr("-1", SP)
+    assert ("a1", "a6") not in u1
+    assert ("a3", "a5", "a7") not in u2
 
 
 def test_unimodular_bases_of_stiffness_block(pendulum, ex2_space):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import sccheck.systemfile
 from sccheck import load_certificate, load_system, save_certificate
+from sccheck.cli import run
 from sccheck.checker import RowPartition, certificate_search
 from sccheck.systemfile import SystemFileError
 
@@ -66,6 +68,22 @@ def test_invalid_json_is_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SystemFileError):
         load_system(path)
+
+
+def test_unreadable_file_is_rejected(tmp_path, monkeypatch, capsys):
+    # Tests run as root, whom chmod does not stop, so open itself is patched.
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    path = _write(tmp_path, BASE)
+    monkeypatch.setattr(sccheck.systemfile, "open", denied, raising=False)
+    with pytest.raises(SystemFileError) as err:
+        load_system(path)
+    assert str(err.value) == f"{path}: cannot read: Permission denied"
+    assert run(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: cannot read: Permission denied"]
 
 
 def test_s_in_matrix_entries_is_rejected(tmp_path):
