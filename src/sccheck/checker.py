@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .field import ParamSpace, PoleError, Polynomial, SpaceMismatchError
+from .field import ParamSpace, PoleError, Polynomial, RationalFunction, SpaceMismatchError
 from .linalg import SymMatrix, build_pencil, det_cofactor, minors_gcd_in_s, rank
 from .matroid import DEFAULT_MAX_BASES, UnimodularBase, VectorMatroid, _first_disjoint_family
 
@@ -420,7 +420,7 @@ def compose_parallel(subs: list[SystemDef]) -> SystemDef:
                 f"{sub.name!r} has m = {sub.m}"
             )
     n_total = sum(sub.n for sub in subs)
-    zero = space.zero()
+    zero = RationalFunction(space.zero())
     A_rows = []
     B_rows = []
     offset = 0

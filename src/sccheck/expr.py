@@ -17,9 +17,12 @@ Every diagnostic carries the 1-based line/column of the offending token
 inside the source text (offset by the ExprSource origin, so errors inside a
 larger document point at the right place).
 
-Parse work is bounded: a '^' with an exponent above MAX_EXPONENT, and a
-'*', '/' or '^' whose numerator or denominator could have more than
-MAX_TERMS terms, are refused at the operator before the operation runs.
+Parse work is bounded: a '^' with an exponent above MAX_EXPONENT, a '*',
+'/' or '^' whose numerator or denominator could have more than MAX_TERMS
+terms, and a '^' whose result could pass MAX_DEGREE in total degree or
+MAX_COEFF_BITS in coefficient size, are refused at the operator before the
+operation runs.  The last two bound nested powers such as ((2^100)^100)^100,
+whose every exponent is within MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ __all__ = ["ExprSource", "ParseError", "UnknownIdentifierError", "ZeroDivisorErr
 # costliest operation they admit runs in a fraction of a second.
 MAX_EXPONENT = 100
 MAX_TERMS = 256
+# Far above the largest power result the tests and benchmark inputs parse
+# (total degree 100 and 200 predicted coefficient bits, both from (z1+1)^100),
+# and far below the megabit values that three nested powers reach.
+MAX_DEGREE = 1000
+MAX_COEFF_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -203,6 +211,7 @@ class _Parser:
             # p^k has at most one term per degree-k monomial in p's terms
             self.check_terms(op, *(math.comb(len(p.terms) + k - 1, k) if p.terms else 0
                                    for p in (value.num, value.den)))
+            self.check_power_size(op, value, k)
             value = value ** k
         return value
 
@@ -212,6 +221,20 @@ class _Parser:
         bound = max(num_terms, den_terms)
         if bound > MAX_TERMS:
             raise self.error(f"{op.value!r} could give {bound} terms, above the bound {MAX_TERMS}", op)
+
+    def check_power_size(self, op: _Token, value: RationalFunction, k: int) -> None:
+        """Refuse value^k when its total degree, k times value's, or its
+        coefficient bound could pass MAX_DEGREE or MAX_COEFF_BITS.  A field
+        element's numerator and denominator have integer coefficients, and no
+        coefficient of p^k exceeds the k-th power of p's coefficient sum."""
+        polys = (value.num, value.den)
+        degree = k * max(max(map(sum, p.terms), default=0) for p in polys)
+        if degree > MAX_DEGREE:
+            raise self.error(f"'^' could give degree {degree}, above the bound {MAX_DEGREE}", op)
+        bits = k * max(sum(map(abs, p.terms.values())).numerator.bit_length() for p in polys)
+        if bits > MAX_COEFF_BITS:
+            raise self.error(f"'^' could give {bits}-bit coefficients, above the bound "
+                             f"{MAX_COEFF_BITS}", op)
 
     def integer(self, tok: _Token) -> int:
         try:

@@ -1,17 +1,20 @@
 """Exact arithmetic in Q[z1..zq, s] and its fraction field.
 
 Polynomials are stored sparsely as a map from exponent vectors to nonzero
-Fraction coefficients, so two polynomials are equal exactly when their term
+exact coefficients, so two polynomials are equal exactly when their term
 maps are equal (canonical form).  The monomial order is graded lexicographic
 over the declared parameter order with the pencil indeterminate s last; all
 leading-term and sign conventions below refer to that order.
 
-Rational functions keep a numerator/denominator pair.  Normalization removes
-the common rational content and makes the denominator's leading coefficient
-positive; the full multivariate gcd reduction is deferred until a term count
-threshold is exceeded (``REDUCTION_THRESHOLD``), because equality is decided
-by cross multiplication and is exact regardless of how far a value has been
-reduced.  A constant denominator needs no gcd: the content step reduces it.
+Each normal-form rule has one home.  Only ``Polynomial.__init__`` drops
+zero coefficients, and only ``_content`` computes a rational content.
+Rational functions keep a numerator/denominator pair, and only
+``_normalize_pair`` normalises it: content 1 across both, and a positive
+leading coefficient below the bar.  The full multivariate gcd reduction is
+deferred until a term count threshold is exceeded (``REDUCTION_THRESHOLD``),
+because equality is decided by cross multiplication and is exact regardless
+of how far a value has been reduced.  Only ``RationalFunction.involves_s``
+decides "free of s": neither numerator nor denominator mentions s.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 __all__ = [
     "ParamSpace",
@@ -99,10 +102,7 @@ class ParamSpace:
         return self.const(1)
 
     def const(self, c: int | Fraction) -> Polynomial:
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {(0,) * self.nvars: Fraction(c)})
 
     def var(self, name: str) -> Polynomial:
         i = self.index(name)
@@ -120,12 +120,22 @@ def _mono_key(mono: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(mono), mono)
 
 
+def _content(coeffs: Collection[int | Fraction]) -> Fraction:
+    """Positive gcd of rational coefficients, 0 for none: the gcd of the
+    numerators over the common denominator, so dividing by it leaves coprime
+    integers."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return Fraction(math.gcd(*(c.numerator * (den // c.denominator) for c in coeffs)), den)
+
+
 class Polynomial:
     """Sparse exact multivariate polynomial over Q.
 
     ``terms`` maps exponent tuples (one entry per space variable, s last) to
-    nonzero exact coefficients, Fractions or ints, stored as given.  Instances
-    are immutable; every operation returns a fresh canonical value.
+    nonzero exact coefficients, Fractions or ints, stored as given.  The
+    constructor is the one place that drops zero coefficients: operations
+    hand it their raw sums.  Instances are immutable, so values may share
+    them; every operation returns a fresh canonical value.
     """
 
     __slots__ = ("space", "terms")
@@ -144,7 +154,7 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.space.nvars: Fraction(1)}
+        return self.terms == {(0,) * self.space.nvars: 1}
 
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
@@ -178,22 +188,6 @@ class Polynomial:
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_monomial()]
 
-    def content(self) -> Fraction:
-        """Positive gcd of all coefficients (0 for the zero polynomial).
-
-        For rational coefficients this is gcd(numerators) / lcm(denominators),
-        so dividing by it leaves coprime integer coefficients.
-        """
-        if not self.terms:
-            return Fraction(0)
-        lcm_den = 1
-        for c in self.terms.values():
-            lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-        gcd_num = 0
-        for c in self.terms.values():
-            gcd_num = math.gcd(gcd_num, abs(c.numerator * (lcm_den // c.denominator)))
-        return Fraction(gcd_num, lcm_den)
-
     # -- ring operations -----------------------------------------------------
 
     def _check_space(self, other: Polynomial) -> None:
@@ -208,11 +202,7 @@ class Polynomial:
         self._check_space(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            out[mono] = out[mono] + coeff if mono in out else coeff
         return Polynomial(self.space, out)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
@@ -223,9 +213,6 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | int | Fraction) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return self.space.zero()
             return Polynomial(self.space, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -234,11 +221,8 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                c = c1 * c2
+                out[mono] = out[mono] + c if mono in out else c
         return Polynomial(self.space, out)
 
     __rmul__ = __mul__
@@ -357,8 +341,9 @@ def poly_divexact(p: Polynomial, d: Polynomial) -> Polynomial:
         diff = tuple(a - b for a, b in zip(lm_r, lm_d))
         if any(e < 0 for e in diff):
             raise ValueError("inexact polynomial division")
+        # rem's leading monomial strictly falls, so each diff comes once
         c = Fraction(rem.terms[lm_r], lc_d)
-        quot[diff] = quot.get(diff, Fraction(0)) + c
+        quot[diff] = c
         rem = rem - Polynomial(space, {diff: c}) * d
     return Polynomial(space, quot)
 
@@ -411,7 +396,7 @@ def _normalized(p: Polynomial) -> Polynomial:
     """Canonical associate: integer-coprime coefficients, positive leading one."""
     if p.is_zero():
         return p
-    c = p.content()
+    c = _content(p.terms.values())
     if p.leading_coeff() < 0:
         c = -c
     return p * (1 / c)
@@ -519,13 +504,6 @@ def _normalize_in_s(g: Polynomial) -> Polynomial:
 # -- rational functions --------------------------------------------------------
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
 class RationalFunction:
     """Element of F(z)(s) as a reduced-enough quotient of two polynomials.
 
@@ -564,20 +542,8 @@ class RationalFunction:
         return self.num == self.den
 
     def involves_s(self) -> bool:
-        """True iff the value, fully reduced, still contains s."""
-        if not self.den.involves_s():
-            return self.num.involves_s()
-        r = self.reduced()
-        return r.num.involves_s() or r.den.involves_s()
-
-    def reduced(self) -> RationalFunction:
-        """Fully gcd-reduced copy (num and den coprime)."""
-        if self.num.is_zero() or self.den.is_one():
-            return self
-        g = poly_gcd(self.num, self.den)
-        if g.is_one():
-            return self
-        return RationalFunction(poly_divexact(self.num, g), poly_divexact(self.den, g))
+        """True iff num or den mentions s: nothing is reduced, so (s*z1)/(s) does."""
+        return self.num.involves_s() or self.den.involves_s()
 
     # -- field operations --------------------------------------------------------
 
@@ -602,7 +568,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other: object) -> RationalFunction:
         o = self._coerce(other)
@@ -670,6 +636,9 @@ class RationalFunction:
 
 
 def _normalize_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num and den with joint content 1 and den's leading coefficient
+    positive, past REDUCTION_THRESHOLD terms divided by their gcd first; zero
+    is 0/1.  Operands already in this form come back as they are."""
     if num.is_zero():
         return num, den.space.one()
     if max(len(num.terms), len(den.terms)) > REDUCTION_THRESHOLD and not den.is_constant():
@@ -677,7 +646,9 @@ def _normalize_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polyn
         if not g.is_one():
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-    common = _fraction_gcd(num.content(), den.content())
+    common = _content([*num.terms.values(), *den.terms.values()])
     if den.leading_coeff() < 0:
         common = -common
-    return num * (1 / common), den * (1 / common)
+    if common != 1:
+        num, den = num * (1 / common), den * (1 / common)
+    return num, den

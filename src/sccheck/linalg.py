@@ -51,18 +51,15 @@ __all__ = [
 
 def _as_rf(space: ParamSpace, v) -> RationalFunction:
     if not isinstance(v, RationalFunction):
-        if isinstance(v, (int, Fraction)):
-            return RationalFunction.from_const(space, v)
-        if not isinstance(v, Polynomial):
-            raise TypeError(f"cannot use {v!r} as a matrix entry")
-        v = RationalFunction(v)
+        raise TypeError(f"matrix entries must be RationalFunctions, got {v!r}")
     if v.space != space:
         raise SpaceMismatchError("entry from a different parameter space")
     return v
 
 
 class SymMatrix:
-    """Dense matrix of rational functions with labelled columns."""
+    """Dense matrix of rational functions with labelled columns.  Entries
+    must be RationalFunctions of the matrix's space: nothing is coerced."""
 
     __slots__ = ("space", "rows", "cols", "entries", "col_labels")
 
@@ -150,8 +147,8 @@ class SymMatrix:
         return SymMatrix(self.space, out)
 
     def involves_s(self) -> bool:
-        """True iff some entry's numerator or denominator mentions s."""
-        return any(v.num.involves_s() or v.den.involves_s() for row in self.entries for v in row)
+        """True iff some entry involves s (``RationalFunction.involves_s``)."""
+        return any(v.involves_s() for row in self.entries for v in row)
 
     def evaluate(self, point: Mapping[str, int | Fraction]) -> SymMatrix:
         """Entrywise exact evaluation; the result is a constant matrix."""
@@ -191,16 +188,8 @@ def build_pencil(A: SymMatrix, B: SymMatrix) -> SymMatrix:
     space = A.space
     s = RationalFunction(space.s())
     n, m = A.rows, B.cols
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = -A.entries[i][j]
-            if i == j:
-                v = v + s
-            row.append(v)
-        row.extend(B.entries[i])
-        entries.append(row)
+    entries = [[s - a if i == j else -a for j, a in enumerate(A.entries[i])] + B.entries[i]
+               for i in range(n)]
     return SymMatrix(space, entries, [f"a{j + 1}" for j in range(n + m)])
 
 
@@ -336,7 +325,8 @@ def minors_gcd_in_s(M: SymMatrix, k: int) -> Polynomial:
     """
     if k > min(M.rows, M.cols):
         raise ValueError(f"no {k}x{k} minors in a {M.rows}x{M.cols} matrix")
-    cleared = SymMatrix(M.space, _cleared_rows(M)[0], M.col_labels)
+    rows = [[RationalFunction(p) for p in row] for row in _cleared_rows(M)[0]]
+    cleared = SymMatrix(M.space, rows, M.col_labels)
     running = M.space.zero()
     for row_sel in itertools.combinations(range(M.rows), k):
         for col_sel in itertools.combinations(range(M.cols), k):

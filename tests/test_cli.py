@@ -509,6 +509,10 @@ HOSTILE = {
         ["check", str(_entry_file(t, "(z1+1)^1000"))], t / "hostile.json", True),
     "power-3000": lambda t, pend: (
         ["check", str(_entry_file(t, "(z1+1)^3000"))], t / "hostile.json", True),
+    "nested-power-constant": lambda t, pend: (
+        ["check", str(_entry_file(t, "((2^100)^100)^100"))], t / "hostile.json", True),
+    "nested-power-degree": lambda t, pend: (
+        ["check", str(_entry_file(t, "((z1^100)^100)^100"))], t / "hostile.json", True),
 }
 
 

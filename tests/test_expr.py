@@ -5,6 +5,8 @@ import pytest
 
 from sccheck import ParamSpace, Polynomial, RationalFunction, parse_expr, render
 from sccheck.expr import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
     MAX_EXPONENT,
     MAX_TERMS,
     ExprSource,
@@ -88,6 +90,12 @@ def test_exponent_must_be_a_literal():
     ("(z1+z2+1)^30", 10, f"'^' could give 496 terms, above the bound {MAX_TERMS}"),
     ("(z1+z2)^15*(z1+z2)^16", 11, f"'*' could give 272 terms, above the bound {MAX_TERMS}"),
     ("1/(z1+z2)^16/(z1+z2)^16", 13, f"'/' could give 289 terms, above the bound {MAX_TERMS}"),
+    # Nested powers: every exponent is 100, but the sizes multiply.
+    ("((2^100)^100)^100", 9,
+     f"'^' could give 10100-bit coefficients, above the bound {MAX_COEFF_BITS}"),
+    ("((z1^100)^100)^100", 10, f"'^' could give degree 10000, above the bound {MAX_DEGREE}"),
+    ("(2^64)^64", 7, f"'^' could give 4160-bit coefficients, above the bound {MAX_COEFF_BITS}"),
+    ("(1/(z1*z2)^10)^60", 15, f"'^' could give degree 1200, above the bound {MAX_DEGREE}"),
 ])
 def test_parse_work_is_bounded_at_the_operator(text, column, message):
     with pytest.raises(ParseError) as err:
@@ -99,6 +107,8 @@ def test_expressions_at_the_parse_bounds_still_parse():
     assert len(parse_expr(f"z1^{MAX_EXPONENT}", SP).num.terms) == 1
     assert len(parse_expr("(z1+1)^100", SP).num.terms) == 101
     assert len(parse_expr("(z1+z2)^15*(z1+z2)^15", SP).num.terms) == 31  # bound 16 * 16 = 256
+    assert parse_expr("(z1^10)^100", SP).num.degree_in(0) == MAX_DEGREE
+    assert parse_expr("(2^63)^64", SP).num.constant_value() == 2 ** (63 * 64)  # 64 * 64 bits
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -79,7 +80,34 @@ def test_equality_is_independent_of_reduction_depth():
     q = RationalFunction(Z1 + Z2, Z1 + Z2)
     assert len(q.num.terms) == 2
     assert q == RationalFunction.from_const(SP, 1)
-    assert q.reduced().num.is_one()
+
+
+def test_primitive_integer_pair_is_kept_as_given(monkeypatch):
+    # Its content is 1, so normalising scales nothing and shares the operand.
+    scalar_factors = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, (int, Fraction)):
+            scalar_factors.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    p = Polynomial(SP, {(1, 0, 0, 0): 2, (0, 0, 0, 1): -3, (0, 0, 0, 0): 4})
+    x = RationalFunction(p)
+    assert scalar_factors == []
+    assert x.num is p and x.den.is_one()
+    assert RationalFunction(p * 2, SP.const(2)).num == p
+    assert scalar_factors == [2, Fraction(1, 2), Fraction(1, 2)]
+
+
+def test_involves_s_reads_numerator_and_denominator():
+    # Free of s means that neither side mentions s; nothing is reduced first.
+    assert RationalFunction(S * Z1, S).involves_s()
+    assert RationalFunction(Z1, S - Z2).involves_s()
+    assert RationalFunction(S - Z1).involves_s()
+    assert not RationalFunction(Z1 * Z2, Z3 + SP.one()).involves_s()
+    assert not RationalFunction(S - S, S).involves_s()
 
 
 def test_denominator_leading_coefficient_is_positive():
@@ -138,6 +166,22 @@ def test_evaluate_requires_occurring_variables():
         (Z1 * Z2).evaluate({"z1": 1})
 
 
+def _assert_no_zero_terms(*polys):
+    for p in polys:
+        assert all(c != 0 for c in p.terms.values()), p.terms
+
+
+def _assert_normal_pair(*values):
+    """num and den have integer coefficients of joint gcd 1, and den's
+    leading coefficient is positive."""
+    for x in values:
+        _assert_no_zero_terms(x.num, x.den)
+        coeffs = [*x.num.terms.values(), *x.den.terms.values()]
+        assert all(Fraction(c).denominator == 1 for c in coeffs), x
+        assert math.gcd(*(int(c) for c in coeffs)) == 1, x
+        assert x.den.leading_coeff() > 0, x
+
+
 def test_ring_laws_on_random_polynomials():
     rng = random.Random(20240801)
     for _ in range(500):
@@ -149,6 +193,8 @@ def test_ring_laws_on_random_polynomials():
         assert (p * q) * r == p * (q * r)
         assert p * q == q * p
         assert p * (q + r) == p * q + p * r
+        _assert_no_zero_terms(p + q, p - p, p * q, p * (q - q), p * 0, p * Fraction(-2, 3),
+                              -p, p ** 2)
 
 
 def test_product_of_nonzero_is_nonzero():
@@ -327,6 +373,17 @@ def test_field_axioms_property():
             assert (x / x).is_one()
 
     axioms()
+
+    # One operation on at most two values stays below REDUCTION_THRESHOLD,
+    # so these checks never wait on a multivariate gcd.
+    @hypothesis.settings(**_PROPERTY_SETTINGS)
+    @hypothesis.given(values, values)
+    def normal_forms(x, y):
+        _assert_normal_pair(x, x + y, x - y, x - x, x * y, -x, x ** 2, x * 0)
+        if not x.is_zero():
+            _assert_normal_pair(y / x, x / x)
+
+    normal_forms()
 
 
 def test_parse_round_trip_with_multi_term_denominators_property():

@@ -264,6 +264,19 @@ def test_minors_gcd_respects_column_cap():
     assert minors_gcd_in_s(wide, 1).is_one()
 
 
+@pytest.mark.parametrize("entry", [1, Fraction(1, 2), SP.var("z1")])
+def test_matrix_entries_must_be_rational_functions(entry):
+    with pytest.raises(TypeError):
+        SymMatrix(SP, [[entry]])
+
+
+def test_matrix_involves_s_agrees_with_its_entries():
+    s, z1 = RationalFunction(SP.s()), parse_expr("z1", SP)
+    for entry in (s * z1 / s, z1 / (s + 1), s - z1, z1, z1 / (z1 + 1)):
+        assert SymMatrix(SP, [[z1, entry]]).involves_s() == entry.involves_s()
+    assert SymMatrix(SP, [[s * z1 / s]]).involves_s()
+
+
 def test_s_gcd_of_minor_numerators_ignores_s_free_scaling(bench_pencil):
     g1 = minors_gcd_in_s(bench_pencil, 5)
     scaled_rows = [
