@@ -40,9 +40,9 @@ __all__ = ["ExprSource", "ParseError", "UnknownIdentifierError", "ZeroDivisorErr
 # costliest operation they admit runs in a fraction of a second.
 MAX_EXPONENT = 100
 MAX_TERMS = 256
-# Far above the largest power result the tests and benchmark inputs parse
-# (total degree 100 and 200 predicted coefficient bits, both from (z1+1)^100),
-# and far below the megabit values that three nested powers reach.
+# Far above every power the fixtures, benchmark inputs and tests (bar the
+# tests of these bounds) parse: at most degree 100 and 200 predicted bits,
+# from (z1+1)^100.  Three nested powers reach a million of either.
 MAX_DEGREE = 1000
 MAX_COEFF_BITS = 4096
 

@@ -53,7 +53,6 @@ def _transcript(tmp_path, sigma1, sigma2, bridge, unit_system, duplicated_modes)
             rc = run(argv)
         log.append(f"$ sccheck {' '.join(argv)}\nexit {rc}\n--- stdout\n{out.getvalue()}"
                    f"--- stderr\n{err.getvalue()}")
-        return rc
 
     def record_file(path):
         if path.exists():
